@@ -230,7 +230,8 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
 
 
 @cli.command("clt")
-@click.option("--n", type=click.IntRange(2), required=True, help="Number of attempted cuts.")
+@click.option("--n", type=click.IntRange(2, clt_mod.MAX_CUTS), required=True,
+              help="Number of attempted cuts.")
 @click.option("--p", type=float, required=True,
               help="Probability each cut succeeds; must be strictly inside (0, 1).")
 @click.option("--samples", type=click.IntRange(1), default=10**5, show_default=True,

@@ -6,6 +6,7 @@ import sys
 from click.testing import CliRunner
 
 from maxdiv.cli import cli
+from maxdiv.clt import MAX_CUTS
 
 runner = CliRunner()
 
@@ -115,6 +116,36 @@ def test_clt_rejects_degenerate_p():
     res = invoke("clt", "--n", "100", "--p", "1.0", "--samples", "10")
     assert res.exit_code != 0
     assert "degenerate" in res.stderr
+
+
+def _single_error_line(res) -> bool:
+    """A clean refusal: non-zero exit, one Error: line, no traceback."""
+    errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
+    return res.exit_code != 0 and len(errors) == 1 and isinstance(res.exception, SystemExit)
+
+
+def test_clt_n_limit():
+    at_limit = invoke("clt", "--n", str(MAX_CUTS), "--p", "0.9", "--samples", "5")
+    assert at_limit.exit_code == 0
+    assert at_limit.stdout.splitlines()[1].startswith(f"{MAX_CUTS},")
+    beyond = invoke("clt", "--n", str(MAX_CUTS + 1), "--p", "0.9", "--samples", "5")
+    assert _single_error_line(beyond)
+    assert str(MAX_CUTS) in beyond.stderr
+
+
+def test_clt_rejects_underflowing_sigma():
+    res = invoke("clt", "--n", "2", "--p", "1e-300", "--samples", "10")
+    assert _single_error_line(res)
+    assert "underflows" in res.stderr
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, maxdiv.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_oracle_three_chords():
