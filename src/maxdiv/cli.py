@@ -32,16 +32,9 @@ from maxdiv import clt as clt_mod
 from maxdiv import fairness as fairness_mod
 from maxdiv.geometry import area_profile, count_regions_geometric, max_regions, random_chord_set
 from maxdiv.geometry import RetryBudgetError
-from maxdiv.moments import (
-    CutModel,
-    EnumerationBoundError,
-    UnsupportedDimensionError,
-    moments_asymptotic,
-    moments_closed_form,
-    moments_exact,
-)
+from maxdiv.moments import CutModel, moments_asymptotic, moments_closed_form, moments_exact
 
-FAIRNESS_HEADER = ("x", "alpha1", "alpha2", "alpha3", "sd", "mad", "min_piece")
+FAIRNESS_HEADER = fairness_mod.FairnessReport._fields
 MOMENTS_HEADER = (
     "n", "p", "dim", "method", "mean", "variance", "second_moment",
     "window_center", "window_scale",
@@ -66,14 +59,26 @@ def _thread_cap() -> int:
     return cap
 
 
-def _csv_cell(value, precision: int) -> str:
+def _csv_text(value):
+    """A non-float cell as the row template's "%s" should show it."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.{precision}f}"
-    if value is None:
-        return ""
-    return str(value)
+    return "" if value is None else value
+
+
+def _csv_template(kinds: tuple, precision: int) -> tuple[str, bool]:
+    """The %-template for a row whose cells have these types.
+
+    Floats take "%.Kf", which prints the same bytes as f"{v:.Kf}";
+    every other cell takes "%s".  The flag says whether some cell is a
+    bool or None and so must go through _csv_text first.
+    """
+    float_spec = f"%.{precision}f"
+    template = ",".join(
+        float_spec if issubclass(kind, float) else "%s" for kind in kinds
+    )
+    needs_text = any(issubclass(kind, bool) or kind is type(None) for kind in kinds)
+    return template, needs_text
 
 
 def _json_cell(value, precision: int):
@@ -85,8 +90,14 @@ def _json_cell(value, precision: int):
 def _render(header, rows, params, warnings, fmt, precision, summary=None) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
+        templates = {}
         for row in rows:
-            lines.append(",".join(_csv_cell(v, precision) for v in row))
+            kinds = tuple(map(type, row))
+            template = templates.get(kinds)
+            if template is None:
+                template = templates[kinds] = _csv_template(kinds, precision)
+            spec, needs_text = template
+            lines.append(spec % (tuple(map(_csv_text, row)) if needs_text else tuple(row)))
         return "\n".join(lines) + "\n"
     payload = {
         "params": {k: _json_cell(v, precision) for k, v in params.items()},
@@ -176,19 +187,20 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     standard error for CSV output and into a "summary" entry for JSON.
     """
     _thread_cap()
-    if tol <= 0.0:
-        raise click.ClickException(f"--tol must be positive, got {tol}")
-    rows = [
-        (r.x, r.profile.triangle, r.profile.circular_triangle,
-         r.profile.circular_trapezoid, r.sd, r.mad, r.min_piece)
-        for r in fairness_mod.scan(grid)
-    ]
-    mad_global, mad_locals = fairness_mod.minimize_mad(tol)
+    if not 0.0 < tol < math.inf:
+        raise click.ClickException(f"--tol must be positive and finite, got {tol}")
+    rows = fairness_mod.scan(grid)
+    try:
+        sd_min = fairness_mod.minimize_sd(tol)
+        mad_global, mad_locals = fairness_mod.minimize_mad(tol)
+        maximin = fairness_mod.maximize_min_piece(tol)
+    except (ValueError, fairness_mod.ConsistencyError) as exc:
+        raise click.ClickException(str(exc))
     summary = {
-        "sd_min": _optimum_entry(fairness_mod.minimize_sd(tol), precision),
+        "sd_min": _optimum_entry(sd_min, precision),
         "mad_global": _optimum_entry(mad_global, precision),
         "mad_locals": [_optimum_entry(opt, precision) for opt in mad_locals],
-        "maximin": _optimum_entry(fairness_mod.maximize_min_piece(tol), precision),
+        "maximin": _optimum_entry(maximin, precision),
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
     text = _render(FAIRNESS_HEADER, rows, params, [], fmt, precision,
@@ -212,16 +224,17 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
                 fmt: str, out: str, precision: int) -> None:
     """Mean, variance and second moment of the region count."""
     _thread_cap()
-    model = CutModel(n, p, dim)
     route = {
         "exact": moments_exact,
         "closed": moments_closed_form,
         "asymptotic": moments_asymptotic,
     }[method]
     try:
-        bundle = route(model)
-    except (UnsupportedDimensionError, EnumerationBoundError) as exc:
+        bundle = route(CutModel(n, p, dim))
+    except ValueError as exc:  # a bad p, or a route that cannot take this model
         raise click.ClickException(str(exc))
+    except OverflowError as exc:
+        raise click.ClickException(f"--n {n} is too large for the {method} route: {exc}")
     window = math.sqrt(bundle.variance)
     row = (n, float(p), dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from maxdiv.geometry import ARC_MAX, AreaProfile, area_profile
+from maxdiv.geometry import ARC_MAX, AreaProfile, _areas, _check_arc
 
 #: Fair share of the unit disk for each of the seven pieces.
 MEAN_AREA = math.pi / 7
+
+_PI2_7 = math.pi**2 / 7.0
 
 #: Coarse-grid resolution used to bracket minima before refinement.
 BRACKET_GRID = 4096
@@ -40,15 +43,24 @@ class ConsistencyError(RuntimeError):
     """Two independent routes to the same optimum disagreed."""
 
 
-@dataclass(frozen=True)
-class FairnessReport:
-    """All fairness measures at one arc length."""
+class FairnessReport(NamedTuple):
+    """All fairness measures at one arc length, in CSV column order.
+
+    alpha1, alpha2 and alpha3 are the areas of the central triangle, of
+    each circular triangle and of each circular trapezoid.
+    """
 
     x: float
+    alpha1: float
+    alpha2: float
+    alpha3: float
     sd: float
     mad: float
     min_piece: float
-    profile: AreaProfile
+
+    @property
+    def profile(self) -> AreaProfile:
+        return AreaProfile(self.alpha1, self.alpha2, self.alpha3)
 
 
 @dataclass(frozen=True)
@@ -73,28 +85,32 @@ def _guarded_sqrt(value: float) -> float:
     return math.sqrt(max(value, 0.0))
 
 
+def _sd(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
+    square_sum = triangle**2 + 3.0 * circular_triangle**2 + 3.0 * circular_trapezoid**2
+    return _guarded_sqrt((square_sum - _PI2_7) / 7.0)
+
+
+def _mad(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
+    return (
+        abs(triangle - MEAN_AREA)
+        + 3.0 * abs(circular_triangle - MEAN_AREA)
+        + 3.0 * abs(circular_trapezoid - MEAN_AREA)
+    ) / 7.0
+
+
 def profile_sd(profile: AreaProfile) -> float:
     """Population standard deviation of the seven areas of a profile."""
-    square_sum = (
-        profile.triangle**2
-        + 3.0 * profile.circular_triangle**2
-        + 3.0 * profile.circular_trapezoid**2
-    )
-    return _guarded_sqrt((square_sum - math.pi**2 / 7.0) / 7.0)
+    return _sd(profile.triangle, profile.circular_triangle, profile.circular_trapezoid)
 
 
 def profile_mad(profile: AreaProfile) -> float:
     """Mean absolute deviation of the seven areas from the fair share."""
-    return (
-        abs(profile.triangle - MEAN_AREA)
-        + 3.0 * abs(profile.circular_triangle - MEAN_AREA)
-        + 3.0 * abs(profile.circular_trapezoid - MEAN_AREA)
-    ) / 7.0
+    return _mad(profile.triangle, profile.circular_triangle, profile.circular_trapezoid)
 
 
 def sd(x: float) -> float:
     """Standard deviation of the seven areas at arc length x."""
-    return profile_sd(area_profile(x))
+    return _sd(*_areas(x))
 
 
 def sd_closed_form(x: float) -> float:
@@ -104,7 +120,7 @@ def sd_closed_form(x: float) -> float:
     honest); kept in the cos(pi/3 + x/2) form for direct comparison
     against the derivation by hand.
     """
-    area_profile(x)  # reuse the domain check
+    _check_arc(x)
     c = math.cos(math.pi / 3 + x / 2)
     tri_part = x / 2 - 2.0 * math.sin(x / 2) * c
     trap_part = math.pi / 3 - x / 2 + 2.0 * math.sin(x / 2) * c - _SQRT3 * c * c
@@ -119,7 +135,7 @@ def sd_closed_form(x: float) -> float:
 
 def mad(x: float) -> float:
     """Mean absolute deviation of the seven areas at arc length x."""
-    return profile_mad(area_profile(x))
+    return _mad(*_areas(x))
 
 
 def mad_expanded(x: float) -> float:
@@ -129,7 +145,7 @@ def mad_expanded(x: float) -> float:
     domain, but verified rather than trusted by the test suite); the
     other two deviations keep their absolute values.
     """
-    area_profile(x)
+    _check_arc(x)
     c = math.cos(math.pi / 3 + x / 2)
     return (
         (3.0 / 7.0) * abs(x / 2 - 2.0 * math.sin(x / 2) * c - math.pi / 7.0)
@@ -143,16 +159,20 @@ def mad_expanded(x: float) -> float:
 
 def min_piece(x: float) -> float:
     """Area of the smallest piece at arc length x."""
-    return area_profile(x).smallest()
+    return min(_areas(x))
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    """Minimize a unimodal f on [lo, hi] to within tol in x."""
+    """Minimize a unimodal f on [lo, hi] to within tol in x.
+
+    Also stops once an interior point reaches an end of the bracket:
+    the bracket is then at float spacing and cannot shrink further.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c and d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = max(a, b - _INV_PHI * (b - a))
@@ -170,8 +190,8 @@ def _locate_minima(f, tol: float) -> list[Optimum]:
     Returns every detected minimum as an Optimum, best first; boundary
     minima are snapped to the exact endpoint.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     xs = [ARC_MAX * i / (BRACKET_GRID - 1) for i in range(BRACKET_GRID)]
     fs = [f(x) for x in xs]
 
@@ -251,15 +271,21 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
 
 
 def _bisect_triangle_crossing(tol: float) -> float:
-    """Arc length where the central and circular triangles have equal area."""
+    """Arc length where the central and circular triangles have equal area.
+
+    Stops early once the midpoint equals an end: the bracket is then at
+    float spacing.
+    """
 
     def gap(x: float) -> float:
-        p = area_profile(x)
-        return p.triangle - p.circular_triangle
+        triangle, circular_triangle, _ = _areas(x)
+        return triangle - circular_triangle
 
     lo, hi = 0.0, ARC_MAX
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
         if gap(mid) > 0.0:
             lo = mid
         else:
@@ -269,14 +295,8 @@ def _bisect_triangle_crossing(tol: float) -> float:
 
 def report(x: float) -> FairnessReport:
     """All fairness measures at one arc length."""
-    profile = area_profile(x)
-    return FairnessReport(
-        x=x,
-        sd=profile_sd(profile),
-        mad=profile_mad(profile),
-        min_piece=profile.smallest(),
-        profile=profile,
-    )
+    a1, a2, a3 = _areas(x)
+    return FairnessReport(x, a1, a2, a3, _sd(a1, a2, a3), _mad(a1, a2, a3), min(a1, a2, a3))
 
 
 def scan(grid_points: int) -> list[FairnessReport]:

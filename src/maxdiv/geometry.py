@@ -21,9 +21,6 @@ from dataclasses import dataclass
 
 ARC_MAX = math.pi / 3
 
-#: One central triangle, three circular triangles, three circular trapezoids.
-REGION_MULTIPLICITIES = (1, 3, 3)
-
 #: Interior intersections must clear the circle, each other, and the chord
 #: endpoints by this margin for the combinatorial count to be trustworthy.
 GENERAL_POSITION_TOL = 1e-9
@@ -32,6 +29,7 @@ GENERAL_POSITION_TOL = 1e-9
 RETRY_BUDGET = 1000
 
 _SQRT3 = math.sqrt(3.0)
+_PI_6 = math.pi / 6
 
 
 class InvalidChordError(ValueError):
@@ -118,13 +116,26 @@ class AreaProfile:
         return min(self.triangle, self.circular_triangle, self.circular_trapezoid)
 
 
+def _areas(x: float) -> tuple[float, float, float]:
+    """(triangle, circular_triangle, circular_trapezoid) at arc length x.
+
+    The three formulas above with one domain check and each sine taken
+    once; every expression keeps its operation order, so the values are
+    bit-identical to the three area functions.
+    """
+    _check_arc(x)
+    s = math.sin(_PI_6 - x / 2)
+    chord_s = 2.0 * math.sin(x / 2) * s
+    return (
+        3.0 * _SQRT3 * s * s,
+        x / 2 - chord_s,
+        ARC_MAX - x / 2 + chord_s - _SQRT3 * s * s,
+    )
+
+
 def area_profile(x: float) -> AreaProfile:
     """All three class areas at arc length x."""
-    return AreaProfile(
-        triangle=area_triangle(x),
-        circular_triangle=area_circular_triangle(x),
-        circular_trapezoid=area_circular_trapezoid(x),
-    )
+    return AreaProfile(*_areas(x))
 
 
 def max_regions(n: int, d: int) -> int:

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from maxdiv.cli import cli
@@ -49,6 +51,38 @@ def test_fairness_json_schema():
     assert payload["summary"]["sd_min"]["at_boundary"] is True
     assert payload["summary"]["mad_global"]["x_star"] == 0.9697640209
     assert payload["warnings"] == []
+
+
+def test_fairness_fine_output_digest():
+    """`fairness --grid 100000` is byte-identical to the dataclass-based
+    scan and per-cell CSV renderer it replaced; digests recorded there."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--tol", "1e-10"],
+        capture_output=True, check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "aac7d800d4e0ce6d505aef09845fcf0a4a381c275e51074a85103740c191927a"
+    )
+    assert hashlib.sha256(proc.stderr).hexdigest() == (
+        "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
+    )
+
+
+def test_fairness_tiny_tol_terminates():
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "4", "--tol", "1e-20"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.count("\n") == 4
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_fairness_rejects_non_finite_tol(tol):
+    res = invoke("fairness", "--grid", "4", "--tol", tol)
+    assert _single_error_line(res)
+    assert "--tol" in res.stderr
+    assert res.stdout == ""
 
 
 def test_moments_exact_anchor():
@@ -137,6 +171,35 @@ def test_clt_rejects_underflowing_sigma():
     res = invoke("clt", "--n", "2", "--p", "1e-300", "--samples", "10")
     assert _single_error_line(res)
     assert "underflows" in res.stderr
+
+
+def test_moments_rejects_nan_p():
+    res = invoke("moments", "--n", "5", "--p", "nan")
+    assert _single_error_line(res)
+    assert "nan" in res.stderr
+
+
+@pytest.mark.parametrize("method, dim, n", [("closed", "2", 10**93), ("asymptotic", "3", 10**72)])
+def test_moments_reports_overflowing_n(method, dim, n):
+    res = invoke("moments", "--n", str(n), "--p", "0.5", "--dim", dim, "--method", method)
+    assert _single_error_line(res)
+    assert "too large" in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["fairness", "--grid", "8"],
+    ["moments", "--n", "20", "--p", "0.3", "--dim", "3", "--method", "closed"],
+    ["oracle", "--n", "3", "--seeds", "0"],
+])
+def test_subcommands_other_than_clt_load_no_numpy(argv):
+    code = (
+        "import sys\n"
+        "from maxdiv.cli import cli\n"
+        f"cli.main({argv!r}, standalone_mode=False)\n"
+        "print(sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():

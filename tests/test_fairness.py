@@ -189,6 +189,31 @@ def test_optimizers_reject_bad_tol():
         minimize_sd(tol=0.0)
     with pytest.raises(ValueError):
         minimize_mad(tol=-1e-3)
+    for tol in (math.nan, math.inf, -math.inf, 0.0):
+        for optimizer in (minimize_sd, minimize_mad, maximize_min_piece):
+            with pytest.raises(ValueError):
+                optimizer(tol=tol)
+
+
+def test_refinement_stops_at_float_spacing(monkeypatch):
+    """A zero tolerance can never be met, yet both loops must end once
+    the bracket reaches float spacing (about a hundred steps here)."""
+
+    def capped(f):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            assert len(calls) < 1000, "refinement loop does not terminate"
+            return f(x)
+
+        return counted
+
+    x = fairness._golden_section(capped(lambda t: abs(t - 0.3)), 0.25, 0.35, 0.0)
+    assert x == pytest.approx(0.3, abs=1e-15)
+    monkeypatch.setattr(fairness, "_areas", capped(fairness._areas))
+    crossing = fairness._bisect_triangle_crossing(0.0)
+    assert crossing == pytest.approx(bisect_equal_triangles(), abs=1e-12)
 
 
 def test_report_fields():
@@ -198,6 +223,26 @@ def test_report_fields():
     assert rep.mad == mad(0.5)
     assert rep.min_piece == min_piece(0.5)
     assert rep.profile == area_profile(0.5)
+
+
+def test_scan_rows_equal_the_public_measures():
+    """Rows of a scan, whose grid includes both endpoints, and reports at
+    the three acceptance optima are CSV rows holding exactly the values
+    of the one-measure-at-a-time routes."""
+    mad_global, (mad_local,) = minimize_mad()
+    optima = [mad_global.x_star, mad_local.x_star, maximize_min_piece().x_star]
+    rows = scan(1001) + [report(x) for x in optima]
+    assert rows[0]._fields == ("x", "alpha1", "alpha2", "alpha3", "sd", "mad", "min_piece")
+    for row in rows:
+        x = row.x
+        p = area_profile(x)
+        assert row == (
+            x, p.triangle, p.circular_triangle, p.circular_trapezoid,
+            sd(x), mad(x), min_piece(x),
+        )
+        assert row.sd == profile_sd(p)
+        assert row.mad == profile_mad(p)
+        assert row.min_piece == p.smallest()
 
 
 def test_scan_endpoints_and_length():

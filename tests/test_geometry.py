@@ -109,6 +109,13 @@ def test_areas_nonnegative():
         assert min(area_profile(x).areas()) >= 0.0
 
 
+def test_shared_kernel_matches_area_functions_bit_for_bit():
+    for x in GRID + [0.0, ARC_MAX, 0.45061, 0.96976, 0.6520005058]:
+        assert geometry._areas(x) == (
+            area_triangle(x), area_circular_triangle(x), area_circular_trapezoid(x)
+        )
+
+
 def test_domain_rejected_outside():
     for bad in (-0.1, -1e-12, ARC_MAX + 1e-9, 4.0):
         with pytest.raises(ValueError):
@@ -117,6 +124,8 @@ def test_domain_rejected_outside():
             area_circular_triangle(bad)
         with pytest.raises(ValueError):
             area_circular_trapezoid(bad)
+        with pytest.raises(ValueError):
+            geometry._areas(bad)
 
 
 def test_profile_accessors():
