@@ -12,18 +12,12 @@ Every subcommand takes ``--format csv|json``, ``--out PATH`` and
 row and LF line endings; JSON is a single object with "params",
 "results" and "warnings" entries whose field names match the CSV
 headers.  Output is byte-identical across runs for fixed inputs.
-
-The optional environment variable MAXDIV_THREADS (integer >= 1) caps
-worker parallelism.  Evaluation is sequential in this implementation,
-which satisfies every cap; sampling stays reproducible regardless
-because its streams are indexed, not shared.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 
 import click
@@ -44,19 +38,6 @@ CLT_HEADER = (
     "margin", "in_clt_regime", "ks_distance", "mean", "sigma",
 )
 ORACLE_HEADER = ("n", "seed", "geometric", "formula", "result")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("MAXDIV_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise click.ClickException(f"MAXDIV_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise click.ClickException(f"MAXDIV_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _csv_text(value):
@@ -186,7 +167,6 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     The table holds one row per grid point; the optimum summary goes to
     standard error for CSV output and into a "summary" entry for JSON.
     """
-    _thread_cap()
     if not 0.0 < tol < math.inf:
         raise click.ClickException(f"--tol must be positive and finite, got {tol}")
     rows = fairness_mod.scan(grid)
@@ -223,7 +203,6 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
 def cmd_moments(n: int, p: float, dim: int, method: str,
                 fmt: str, out: str, precision: int) -> None:
     """Mean, variance and second moment of the region count."""
-    _thread_cap()
     route = {
         "exact": moments_exact,
         "closed": moments_closed_form,
@@ -254,7 +233,6 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
 def cmd_clt(n: int, p: float, samples: int, seed: int,
             fmt: str, out: str, precision: int) -> None:
     """Rinott terms, CLT threshold margin, and an empirical KS distance."""
-    _thread_cap()
     try:
         terms = clt_mod.rinott_terms(n, p)
         check = clt_mod.threshold_check(n, p)
@@ -285,7 +263,6 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str, precision: int) -> None:
     Exits nonzero if any arrangement cannot be sampled or any count
     disagrees with the formula.
     """
-    _thread_cap()
     try:
         seed_list = [int(token) for token in seeds.split(",") if token.strip()]
     except ValueError:

@@ -223,13 +223,12 @@ def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     import numpy as np
 
-    if p == 0.0:
-        return np.ones(m, dtype=np.int64)
-    if p == 1.0:
-        return np.full(m, 1 + n + n * (n - 1) // 2, dtype=np.int64)
-    stream = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
-    lo, cdf = _binomial_cdf(n, p)
-    x = lo + _invert(cdf, stream.random(m))
+    if p == 0.0 or p == 1.0:
+        x = np.full(m, n if p == 1.0 else 0, dtype=np.int64)
+    else:
+        stream = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
+        lo, cdf = _binomial_cdf(n, p)
+        x = lo + _invert(cdf, stream.random(m))
     return 1 + x + x * (x - 1) // 2
 
 

@@ -187,8 +187,10 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 def _locate_minima(f, tol: float) -> list[Optimum]:
     """Bracket-and-refine minimization of f over [0, pi/3].
 
-    Returns every detected minimum as an Optimum, best first; boundary
-    minima are snapped to the exact endpoint.
+    Returns every detected minimum as an Optimum, best first.  A minimum
+    refined inside a bracket that touches an end of the domain is
+    snapped to that end when it lies within max(10 tol, 1e-9) of it;
+    interior brackets are never snapped.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
@@ -209,9 +211,9 @@ def _locate_minima(f, tol: float) -> list[Optimum]:
     for lo, hi in brackets:
         x_star = _golden_section(f, lo, hi, tol)
         at_boundary = False
-        if x_star <= snap:
+        if lo == xs[0] and x_star <= snap:
             x_star, at_boundary = 0.0, True
-        elif ARC_MAX - x_star <= snap:
+        elif hi == xs[-1] and ARC_MAX - x_star <= snap:
             x_star, at_boundary = ARC_MAX, True
         candidate = Optimum(x_star, f(x_star), "local_min", at_boundary)
         # grid plateaus can bracket the same minimum twice
@@ -256,8 +258,14 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
     The maximum sits where the central triangle and the circular
     triangles trade places as smallest piece.  The bracketed search is
     double-checked by bisecting that area crossing directly; the two
-    routes must agree to within tol.
+    routes must agree to within tol.  The two searches run at tol/2 and
+    tol/4, so a tol whose quarter underflows to 0.0 is refused.
     """
+    if not 0.0 < tol / 4 < math.inf:
+        raise ValueError(
+            f"tolerance must be positive and finite and tol/4 must not underflow"
+            f" to 0.0, got {tol!r}"
+        )
     ranked = _locate_minima(lambda x: -min_piece(x), tol / 2)
     best = ranked[0]
 

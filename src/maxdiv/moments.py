@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from maxdiv.geometry import max_regions as region_count
+
 #: Largest n the enumeration routes accept unless the caller raises it.
 ENUMERATION_BOUND = 1000
 
@@ -76,15 +78,6 @@ class RegionMoments:
             method="monte_carlo",
             d=d,
         )
-
-
-def region_count(successes: int, d: int) -> int:
-    """Regions created by a given number of successful cuts: sum C(x, i)."""
-    if successes < 0:
-        raise ValueError(f"success count must be nonnegative, got {successes}")
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
-    return sum(math.comb(successes, i) for i in range(d + 1))
 
 
 def expected_regions(model: CutModel) -> float:
@@ -152,47 +145,44 @@ def variance_asymptotic(model: CutModel) -> float:
     )
 
 
-def _log_pmf(n: int, p: float, x: int) -> float:
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(x + 1)
-        - math.lgamma(n - x + 1)
-        + x * math.log(p)
-        + (n - x) * math.log1p(-p)
-    )
+def _enumerated_moments(n: int, p: float, d: int) -> tuple[float, float, float]:
+    """(E(R), E(R^2), V(R)) by summing the full binomial distribution.
 
-
-def _enumerated_moments(n: int, p: float, d: int) -> tuple[float, float]:
-    """(E(R), E(R^2)) by summing the full binomial distribution."""
+    The variance is a second pass over the centred counts, not
+    E(R^2) - E(R)^2, which cancels catastrophically when V(R) is small
+    next to E(R)^2 (p near 0 or 1).  Its terms are all nonnegative, so
+    a plain sum cannot cancel: its relative error stays below n + 1
+    rounding units, and it costs a fraction of an fsum.
+    """
     if p == 0.0 or p == 1.0:
         fixed = region_count(n if p == 1.0 else 0, d)
-        return float(fixed), float(fixed) ** 2
-    mean_terms = []
-    second_terms = []
-    for x in range(n + 1):
-        weight = math.exp(_log_pmf(n, p, x))
-        r = region_count(x, d)
-        mean_terms.append(weight * r)
-        second_terms.append(weight * r * r)
-    return math.fsum(mean_terms), math.fsum(second_terms)
-
-
-def _check_enumeration_bound(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise EnumerationBoundError(
-            f"enumeration supports n <= {max_n}, got n = {n}"
+        return float(fixed), float(fixed) ** 2, 0.0
+    log_n_factorial, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    weights = [
+        math.exp(
+            log_n_factorial
+            - math.lgamma(x + 1)
+            - math.lgamma(n - x + 1)
+            + x * log_p
+            + (n - x) * log_q
         )
+        for x in range(n + 1)
+    ]
+    counts = [region_count(x, d) for x in range(n + 1)]
+    mean = math.fsum(w * r for w, r in zip(weights, counts))
+    second = math.fsum(w * r * r for w, r in zip(weights, counts))
+    # weight first: a squared deviation alone may pass the float range
+    variance = sum(w * (r - mean) * (r - mean) for w, r in zip(weights, counts))
+    return mean, second, variance
 
 
 def variance_exact(model: CutModel, max_n: int = ENUMERATION_BOUND) -> float:
     """V(R) by full enumeration of the success-count distribution."""
-    _check_enumeration_bound(model.n, max_n)
-    mean, second = _enumerated_moments(model.n, model.p, model.d)
-    return _guard_variance(second - mean * mean, mean)
+    return moments_exact(model, max_n).variance
 
 
 def _guard_variance(var: float, mean: float) -> float:
-    # cancellation in m2 - mean^2 may leave a tiny negative residue
+    # cancellation among the polynomial's terms may leave a tiny negative residue
     if var < 0.0:
         if var < -1e-9 * mean * mean:
             raise ValueError(f"variance {var!r} is negative beyond rounding noise")
@@ -223,11 +213,14 @@ def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fract
 
 def moments_exact(model: CutModel, max_n: int = ENUMERATION_BOUND) -> RegionMoments:
     """Moments by full enumeration, packaged with their route tag."""
-    _check_enumeration_bound(model.n, max_n)
-    mean, second = _enumerated_moments(model.n, model.p, model.d)
+    if model.n > max_n:
+        raise EnumerationBoundError(
+            f"enumeration supports n <= {max_n}, got n = {model.n}"
+        )
+    mean, second, variance = _enumerated_moments(model.n, model.p, model.d)
     return RegionMoments(
         mean=mean,
-        variance=_guard_variance(second - mean * mean, mean),
+        variance=variance,
         second_moment=second,
         method="exact_enumeration",
         d=model.d,

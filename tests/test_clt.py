@@ -121,8 +121,10 @@ def test_threshold_rejects_degenerate():
 
 
 def test_samples_degenerate_probabilities():
-    assert np.all(sample_region_counts(6, 0.0, 50, seed=0) == 1)
-    assert np.all(sample_region_counts(6, 1.0, 50, seed=0) == 22)
+    for p, count in ((0.0, 1), (1.0, 22)):
+        samples = sample_region_counts(6, p, 50, seed=0)
+        assert samples.dtype == np.int64
+        assert np.all(samples == count)
 
 
 def test_samples_deterministic():

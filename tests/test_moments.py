@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxdiv.geometry import max_regions
 from maxdiv.moments import (
@@ -39,9 +41,7 @@ def test_region_count_known_values():
 
 
 def test_region_count_matches_max_regions():
-    for x in range(0, 15):
-        for d in (1, 2, 3, 4):
-            assert region_count(x, d) == max_regions(x, d)
+    assert region_count is max_regions
 
 
 def test_region_count_rejects_bad_input():
@@ -108,6 +108,56 @@ def test_enumeration_matches_closed_form_large_n():
     for n in (200, 500, 1000):
         model = CutModel(n, 0.3, 2)
         assert close(variance_exact(model), variance_closed_form(model), rel=1e-9)
+
+
+def _variance_2d_rational(n: int, p: Fraction) -> Fraction:
+    return (
+        n * p
+        + Fraction(n * (5 * n - 7), 2) * p**2
+        + n * (n - 1) * (n - 4) * p**3
+        - Fraction(n * (n - 1) * (2 * n - 3), 2) * p**4
+    )
+
+
+def test_enumerated_variance_accurate_near_one():
+    """V(R) is about 2e-7 of E(R)^2 here: E(R^2) - E(R)^2 misses the
+    rational value by 1.35e-6 relative, the centred pass by about 1e-12."""
+    n, p = 2000, 0.9999
+    want = _variance_2d_rational(n, Fraction(p))
+    got = variance_exact(CutModel(n, p, 2), max_n=n)
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    d=st.sampled_from([1, 2, 3, 4]),
+    p=st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1e-6),
+        st.floats(1.0 - 1e-6, 1.0),
+    ),
+)
+def test_enumeration_matches_rational_route(n, d, p):
+    bundle = moments_exact(CutModel(n, p, d))
+    exact = exact_moments_rational(n, Fraction(p), d)
+    got = (bundle.mean, bundle.second_moment, bundle.variance)
+    for value, want in zip(got, exact):
+        assert abs(Fraction(value) - want) <= Fraction(1, 10**11) * want
+
+
+def test_enumeration_survives_counts_beyond_sqrt_of_float_range():
+    """With d >= n every cut doubles the regions, so R = 2^X reaches 2^600
+    here and (R - E(R))^2 alone would overflow; the weighted terms do not."""
+    n, p = 600, 0.1
+    model = CutModel(n, p, n)
+    bundle = moments_exact(model)
+    assert bundle.mean == pytest.approx((1 + p) ** n, rel=1e-9)
+    assert bundle.second_moment == pytest.approx((1 + 3 * p) ** n, rel=1e-9)
+    want_var = (1 + 3 * p) ** n - (1 + p) ** (2 * n)
+    assert bundle.variance == pytest.approx(want_var, rel=1e-9)
+    assert variance_exact(model) == bundle.variance
+    assert chebyshev_tail(model, 1.0) == 1.0
 
 
 def test_rational_route_guards():
