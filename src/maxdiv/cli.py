@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+from itertools import chain, islice
 
 import click
 
@@ -38,6 +40,10 @@ CLT_HEADER = (
     "margin", "in_clt_regime", "ks_distance", "mean", "sigma",
 )
 ORACLE_HEADER = ("n", "seed", "geometric", "formula", "result")
+
+#: Table rows per output chunk.  Each chunk is formatted by one
+#: %-template and written at once, so memory stays flat at any --grid.
+CHUNK_ROWS = 2048
 
 
 def _csv_text(value):
@@ -68,38 +74,74 @@ def _json_cell(value, precision: int):
     return value
 
 
-def _render(header, rows, params, warnings, fmt, precision, summary=None) -> str:
+def _json_member(key: str, value) -> str:
+    """One top-level entry as json.dumps(payload, indent=2) lays it out."""
+    return json.dumps({key: value}, indent=2)[2:-2]
+
+
+def _chunks(rows, width: int):
+    """Yield (row count, flat cell tuple) for each run of CHUNK_ROWS rows."""
+    rows = iter(rows)
+    while cells := tuple(chain.from_iterable(islice(rows, CHUNK_ROWS))):
+        yield len(cells) // width, cells
+
+
+def _render(header, rows, params, warnings, fmt, precision, summary=None):
+    """Yield the output text in chunks of at most CHUNK_ROWS table rows.
+
+    rows is consumed once, a chunk at a time, so memory does not grow
+    with the table.  Every row must have the cell types of the first,
+    which fix the CSV template.  The JSON chunks join up to exactly
+    json.dumps(payload, indent=2) + "\n".
+    """
+    width = len(header)
     if fmt == "csv":
-        lines = [",".join(header)]
-        templates = {}
-        for row in rows:
-            kinds = tuple(map(type, row))
-            template = templates.get(kinds)
-            if template is None:
-                template = templates[kinds] = _csv_template(kinds, precision)
-            spec, needs_text = template
-            lines.append(spec % (tuple(map(_csv_text, row)) if needs_text else tuple(row)))
-        return "\n".join(lines) + "\n"
-    payload = {
-        "params": {k: _json_cell(v, precision) for k, v in params.items()},
-        "results": [
-            {k: _json_cell(v, precision) for k, v in zip(header, row)}
-            for row in rows
-        ],
-        "warnings": list(warnings),
-    }
+        yield ",".join(header) + "\n"
+        spec = None
+        for count, cells in _chunks(rows, width):
+            if spec is None:
+                spec, needs_text = _csv_template(tuple(map(type, cells[:width])), precision)
+                spec += "\n"
+            yield spec * count % (tuple(map(_csv_text, cells)) if needs_text else cells)
+        return
+    params = {k: _json_cell(v, precision) for k, v in params.items()}
+    yield "{\n" + _json_member("params", params) + ',\n  "results": ['
+    spec = "\n    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in header) + "\n    }"
+    separator = ""
+    for count, cells in _chunks(rows, width):
+        # one C-encoder call per chunk; json escapes every control character
+        # inside a string, so each "\n" separates two encoded cells
+        encoded = json.dumps([_json_cell(v, precision) for v in cells], separators=("\n", ": "))
+        yield separator + ",".join([spec] * count) % tuple(encoded[1:-1].split("\n"))
+        separator = ","
+    tail = ["\n  ]" if separator else "]", _json_member("warnings", list(warnings))]
     if summary is not None:
-        payload["summary"] = summary
-    return json.dumps(payload, indent=2) + "\n"
+        tail.append(_json_member("summary", summary))
+    yield ",\n".join(tail) + "\n}\n"
 
 
-def _write(text: str, out: str) -> None:
+def _write(chunks, out: str) -> None:
+    """Write the chunks to out, or to standard output for "-", as they come.
+
+    A failed write, a closed pipe included, ends the run with one Error:
+    line and exit status 1.
+    """
     if out == "-":
-        click.echo(text, nl=False)
+        try:
+            for chunk in chunks:
+                click.echo(chunk, nl=False)
+        except OSError as exc:
+            # send what is still buffered to devnull, or the interpreter's
+            # final flush of stdout fails again and prints a traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise click.ClickException(f"cannot write to standard output: {exc}")
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            for chunk in chunks:
+                handle.write(chunk)
     except OSError as exc:
         raise click.ClickException(f"cannot write {out!r}: {exc}")
 
@@ -169,7 +211,6 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     """
     if not 0.0 < tol < math.inf:
         raise click.ClickException(f"--tol must be positive and finite, got {tol}")
-    rows = fairness_mod.scan(grid)
     try:
         sd_min = fairness_mod.minimize_sd(tol)
         mad_global, mad_locals = fairness_mod.minimize_mad(tol)
@@ -183,9 +224,9 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
         "maximin": _optimum_entry(maximin, precision),
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
-    text = _render(FAIRNESS_HEADER, rows, params, [], fmt, precision,
-                   summary=summary if fmt == "json" else None)
-    _write(text, out)
+    # fairness_mod._rows, not scan: a list of reports would hold the table
+    _write(_render(FAIRNESS_HEADER, fairness_mod._rows(grid), params, [], fmt, precision,
+                   summary=summary if fmt == "json" else None), out)
     if fmt == "csv":
         for line in _summary_lines(summary, precision):
             click.echo(line, err=True)
@@ -214,6 +255,13 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
         raise click.ClickException(str(exc))
     except OverflowError as exc:
         raise click.ClickException(f"--n {n} is too large for the {method} route: {exc}")
+    for name in ("mean", "variance", "second_moment"):
+        value = getattr(bundle, name)
+        if value is not None and not math.isfinite(value):
+            raise click.ClickException(
+                f"the {method} route's {name} is {value}, not a finite number,"
+                f" at --n {n} --p {p} --dim {dim}"
+            )
     window = math.sqrt(bundle.variance)
     row = (n, float(p), dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)

@@ -301,10 +301,24 @@ def _bisect_triangle_crossing(tol: float) -> float:
     return (lo + hi) / 2
 
 
+def _measures(x: float) -> tuple[float, ...]:
+    """The fields of ``report(x)`` as a plain tuple."""
+    a1, a2, a3 = _areas(x)
+    return x, a1, a2, a3, _sd(a1, a2, a3), _mad(a1, a2, a3), min(a1, a2, a3)
+
+
 def report(x: float) -> FairnessReport:
     """All fairness measures at one arc length."""
-    a1, a2, a3 = _areas(x)
-    return FairnessReport(x, a1, a2, a3, _sd(a1, a2, a3), _mad(a1, a2, a3), min(a1, a2, a3))
+    return FairnessReport._make(_measures(x))
+
+
+def _rows(grid_points: int):
+    """The rows of ``scan`` as plain tuples, computed one at a time.
+
+    The CLI streams these without building the table.  The caller checks
+    that grid_points is at least 2.
+    """
+    return map(_measures, (ARC_MAX * i / (grid_points - 1) for i in range(grid_points)))
 
 
 def scan(grid_points: int) -> list[FairnessReport]:
@@ -315,6 +329,4 @@ def scan(grid_points: int) -> list[FairnessReport]:
     """
     if grid_points < 2:
         raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    return [
-        report(ARC_MAX * i / (grid_points - 1)) for i in range(grid_points)
-    ]
+    return list(map(FairnessReport._make, _rows(grid_points)))

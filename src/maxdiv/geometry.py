@@ -142,13 +142,14 @@ def max_regions(n: int, d: int) -> int:
     """Most regions n straight cuts can create in d dimensions.
 
     Exact integer sum of C(n, i) for i = 0..d; arbitrary-precision, so
-    large inputs cannot silently wrap.
+    large inputs cannot silently wrap.  C(n, i) = 0 for i > n, so the
+    sum stops at min(n, d) and a huge d costs nothing.
     """
     if n < 0:
         raise ValueError(f"cut count must be nonnegative, got {n}")
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
-    return sum(math.comb(n, i) for i in range(d + 1))
+    return sum(math.comb(n, i) for i in range(min(n, d) + 1))
 
 
 @dataclass(frozen=True)

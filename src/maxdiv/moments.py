@@ -84,10 +84,11 @@ def expected_regions(model: CutModel) -> float:
     """E(R) = 1 + sum_{i=1}^{d} C(n, i) p^i, exactly, for any dimension.
 
     Each i-way intersection of cuts survives with probability p^i and
-    contributes one region; the leading 1 is the uncut volume.
+    contributes one region; the leading 1 is the uncut volume.  Terms
+    past i = n are zero, so the sum stops at min(n, d).
     """
     n, p, d = model.n, model.p, model.d
-    return 1.0 + math.fsum(math.comb(n, i) * p**i for i in range(1, d + 1))
+    return 1.0 + math.fsum(math.comb(n, i) * p**i for i in range(1, min(n, d) + 1))
 
 
 def second_moment_2d(model: CutModel) -> float:
@@ -145,6 +146,25 @@ def variance_asymptotic(model: CutModel) -> float:
     )
 
 
+def _region_counts(n: int, d: int) -> list[int]:
+    """[region_count(x, d) for x in 0..n] in O(n) exact integer steps.
+
+    Pascal's rule on the partial row sums S(x, d) = sum_{i<=d} C(x, i)
+    gives S(x+1, d) = 2 S(x, d) - C(x, d), and C(x+1, d) follows from
+    C(x, d) by one multiply and one exact divide.
+    """
+    counts = [1]
+    total, top = 1, 0  # S(x, d) and C(x, d), here at x = 0
+    for x in range(1, n + 1):
+        total = 2 * total - top
+        counts.append(total)
+        if x == d:
+            top = 1
+        elif x > d:
+            top = top * x // (x - d)
+    return counts
+
+
 def _enumerated_moments(n: int, p: float, d: int) -> tuple[float, float, float]:
     """(E(R), E(R^2), V(R)) by summing the full binomial distribution.
 
@@ -155,8 +175,9 @@ def _enumerated_moments(n: int, p: float, d: int) -> tuple[float, float, float]:
     rounding units, and it costs a fraction of an fsum.
     """
     if p == 0.0 or p == 1.0:
-        fixed = region_count(n if p == 1.0 else 0, d)
-        return float(fixed), float(fixed) ** 2, 0.0
+        # a float product overflows to inf where ** would raise
+        fixed = float(region_count(n if p == 1.0 else 0, d))
+        return fixed, fixed * fixed, 0.0
     log_n_factorial, log_p, log_q = math.lgamma(n + 1), math.log(p), math.log1p(-p)
     weights = [
         math.exp(
@@ -168,7 +189,7 @@ def _enumerated_moments(n: int, p: float, d: int) -> tuple[float, float, float]:
         )
         for x in range(n + 1)
     ]
-    counts = [region_count(x, d) for x in range(n + 1)]
+    counts = _region_counts(n, d)
     mean = math.fsum(w * r for w, r in zip(weights, counts))
     second = math.fsum(w * r * r for w, r in zip(weights, counts))
     # weight first: a squared deviation alone may pass the float range
@@ -203,9 +224,8 @@ def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fract
     q = 1 - p
     mean = Fraction(0)
     second = Fraction(0)
-    for x in range(n + 1):
+    for x, r in enumerate(_region_counts(n, d)):
         weight = math.comb(n, x) * p**x * q ** (n - x)
-        r = region_count(x, d)
         mean += weight * r
         second += weight * r * r
     return mean, second, second - mean * mean

@@ -3,12 +3,17 @@ import json
 import math
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
 
-from maxdiv.cli import cli
+from maxdiv import cli as cli_module
+from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, cli
 from maxdiv.clt import MAX_CUTS
+from maxdiv.fairness import scan
+from maxdiv.moments import RegionMoments
 
 runner = CliRunner()
 
@@ -66,6 +71,117 @@ def test_fairness_fine_output_digest():
     assert hashlib.sha256(proc.stderr).hexdigest() == (
         "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
     )
+
+
+@pytest.mark.parametrize("grid", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+def test_fairness_csv_stream_matches_scan(grid):
+    res = invoke("fairness", "--grid", str(grid), "--precision", "12")
+    assert res.exit_code == 0
+    expected = ",".join(FAIRNESS_HEADER) + "\n" + "".join(
+        ",".join("%.12f" % value for value in row) + "\n" for row in scan(grid)
+    )
+    assert res.stdout == expected
+
+
+@pytest.mark.parametrize("grid", [2, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 1000])
+def test_fairness_json_stream_matches_json_dumps(grid):
+    res = invoke("fairness", "--grid", str(grid), "--format", "json")
+    assert res.exit_code == 0
+    payload = {
+        "params": {"grid": grid, "tol": 1e-10, "precision": 10},
+        "results": [
+            {key: round(value, 10) for key, value in zip(FAIRNESS_HEADER, row)}
+            for row in scan(grid)
+        ],
+        "warnings": [],
+        "summary": json.loads(res.stdout)["summary"],
+    }
+    assert res.stdout == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [(1, "a\nb", True, None, 0.5)],
+    [(2, 'q"%s,', False, None, math.inf), (3, "\\", True, 7, -math.inf), (4, "", False, None, math.nan)],
+])
+def test_json_render_matches_json_dumps_for_any_cells(rows):
+    header = ("i", "text", "flag", "maybe", "value")
+    params = {"n": 3, "seeds": [0, 1], "p": 0.123456789}
+    text = "".join(cli_module._render(header, rows, params, ["w"], "json", 4, summary={"k": [1.5]}))
+    payload = {
+        "params": {"n": 3, "seeds": [0, 1], "p": 0.1235},
+        "results": [
+            {key: round(v, 4) if isinstance(v, float) else v for key, v in zip(header, row)}
+            for row in rows
+        ],
+        "warnings": ["w"],
+        "summary": {"k": [1.5]},
+    }
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_csv_render_maps_bool_and_none_cells():
+    rows = [(1, True, None, 0.25)] * (CHUNK_ROWS + 2)
+    chunks = list(cli_module._render(("a", "b", "c", "d"), rows, {}, [], "csv", 3))
+    assert len(chunks) == 3  # the header, one full chunk, one short chunk
+    assert "".join(chunks) == "a,b,c,d\n" + "1,true,,0.250\n" * (CHUNK_ROWS + 2)
+
+
+def _traced_fairness_peak(grid, path) -> int:
+    tracemalloc.start()
+    try:
+        cli.main(["fairness", "--grid", str(grid), "--out", str(path)], standalone_mode=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fairness_memory_does_not_grow_with_grid(tmp_path):
+    path = tmp_path / "table.csv"
+    cli.main(["fairness", "--grid", "10", "--out", str(path)], standalone_mode=False)
+    small = _traced_fairness_peak(5000, path)
+    large = _traced_fairness_peak(50000, path)
+    assert path.read_text().count("\n") == 50001
+    assert abs(large - small) < 2**20, (small, large)
+
+
+def test_fairness_closed_stdout_ends_in_one_error_line():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"x,alpha1,alpha2,alpha3,sd,mad,min_piece\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=30) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in stderr
+    assert stderr.startswith("Error: cannot write to standard output:")
+    assert stderr.count("\n") == 1
+
+
+def test_fairness_unopenable_out_ends_in_one_error_line(tmp_path):
+    target = tmp_path / "no" / "table.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--out", str(target)],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Error: cannot write")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_fairness_optimizer_error_writes_nothing(tmp_path):
+    target = tmp_path / "table.csv"
+    for args in (["--out", str(target)], []):
+        res = invoke("fairness", "--grid", "10", "--tol", "5e-324", *args)
+        assert _single_error_line(res)
+        assert res.stdout == ""
+    assert not target.exists()
 
 
 def test_fairness_tiny_tol_terminates():
@@ -212,6 +328,47 @@ def test_moments_reports_overflowing_n(method, dim, n):
     res = invoke("moments", "--n", str(n), "--p", "0.5", "--dim", dim, "--method", method)
     assert _single_error_line(res)
     assert "too large" in res.stderr
+
+
+@pytest.mark.parametrize("argv, outcome", [
+    (["--n", "1000", "--p", "0.5", "--dim", "100000"], "Error: the exact route's variance is inf"),
+    (["--n", "10", "--p", "0.5", "--dim", "100000000", "--method", "closed"], "Error: variance polynomial"),
+    (["--n", "10", "--p", "0.5", "--dim", "1000000000"], "n,p,dim,"),
+    (["--n", "10", "--p", "1", "--dim", "1000000000"], "n,p,dim,"),
+])
+def test_moments_huge_dim_ends_within_a_second(argv, outcome):
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "moments", *argv], capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.stdout + proc.stderr).startswith(outcome)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("method, argv", [
+    ("exact", ["--n", "600", "--p", "0.999999", "--dim", "600"]),
+    ("exact", ["--n", "600", "--p", "1", "--dim", "600"]),
+    ("closed", ["--n", str(10**52), "--p", "0.9999999", "--dim", "3"]),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_moments_refuses_non_finite_moments(method, argv, fmt):
+    res = invoke("moments", *argv, "--method", method, "--format", fmt)
+    assert _single_error_line(res)
+    assert f"the {method} route's" in res.stderr
+    assert "not a finite number" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("route", ["moments_exact", "moments_closed_form", "moments_asymptotic"])
+@pytest.mark.parametrize("field", ["mean", "variance", "second_moment"])
+def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field):
+    values = {"mean": 1.0, "variance": 1.0, "second_moment": 2.0, field: math.nan}
+    monkeypatch.setattr(cli_module, route, lambda model: RegionMoments(**values, method=route, d=model.d))
+    method = {"moments_exact": "exact", "moments_closed_form": "closed"}.get(route, "asymptotic")
+    res = invoke("moments", "--n", "5", "--p", "0.5", "--method", method)
+    assert _single_error_line(res)
+    assert f"{field} is nan" in res.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -153,6 +153,7 @@ def test_max_regions_saturates_at_powers_of_two():
     # once d >= n every subset counts
     assert max_regions(4, 4) == 16
     assert max_regions(6, 9) == 64
+    assert max_regions(20, 10**4) == 2**20
 
 
 def test_max_regions_rejects_bad_input():

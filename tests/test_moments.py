@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxdiv.geometry import max_regions
 from maxdiv.moments import (
     CutModel,
+    _region_counts,
     EnumerationBoundError,
     RegionMoments,
     UnsupportedDimensionError,
@@ -42,6 +43,19 @@ def test_region_count_known_values():
 
 def test_region_count_matches_max_regions():
     assert region_count is max_regions
+
+
+def test_region_column_matches_max_regions():
+    for n in range(0, 40):
+        for d in range(1, 45):
+            assert _region_counts(n, d) == [max_regions(x, d) for x in range(n + 1)], (n, d)
+    assert _region_counts(1000, 3) == [max_regions(x, 3) for x in range(1001)]
+    assert _region_counts(1000, 10**9) == [2**x for x in range(1001)]
+
+
+def test_expected_regions_ignores_dimensions_beyond_n():
+    for p in (0.0, 0.3, 1.0):
+        assert expected_regions(CutModel(12, p, 10**4)) == expected_regions(CutModel(12, p, 12))
 
 
 def test_region_count_rejects_bad_input():
