@@ -1,19 +1,12 @@
 """Maximal division of a disk: piece areas, fairness optima, and the
-moments and normal limit of the random region count."""
+moments and normal limit of the random region count.
 
-from maxdiv.geometry import (
-    ARC_MAX,
-    AreaProfile,
-    Chord,
-    ChordSet,
-    area_circular_trapezoid,
-    area_circular_triangle,
-    area_profile,
-    area_triangle,
-    count_regions_geometric,
-    max_regions,
-    random_chord_set,
-)
+The names in ``__all__`` come from ``maxdiv.geometry``, which is
+imported on first access, so that a command needing only part of the
+package loads only that part.
+"""
+
+import math
 
 __all__ = [
     "ARC_MAX",
@@ -30,3 +23,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+#: Largest cut count n with n(n - 1) <= 2^63 - 1, so that the region
+#: count 1 + x + x(x - 1)/2 of any draw x <= n is computed in int64
+#: without overflow.  Defined here, not in ``maxdiv.clt``, so that the
+#: command line can bound ``clt --n`` without loading the sampler.
+MAX_CUTS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        from maxdiv import geometry
+
+        value = globals()[name] = getattr(geometry, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

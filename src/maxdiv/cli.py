@@ -12,11 +12,13 @@ Every subcommand takes ``--format csv|json``, ``--out PATH`` and
 row and LF line endings; JSON is a single object with "params",
 "results" and "warnings" entries whose field names match the CSV
 headers.  Output is byte-identical across runs for fixed inputs.
+
+Each subcommand imports the analysis module it calls, and json is
+imported only for JSON output, so a run loads only what it uses.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -24,13 +26,8 @@ from itertools import chain, islice
 
 import click
 
-from maxdiv import clt as clt_mod
-from maxdiv import fairness as fairness_mod
-from maxdiv.geometry import area_profile, count_regions_geometric, max_regions, random_chord_set
-from maxdiv.geometry import RetryBudgetError
-from maxdiv.moments import CutModel, moments_asymptotic, moments_closed_form, moments_exact
+from maxdiv import MAX_CUTS
 
-FAIRNESS_HEADER = fairness_mod.FairnessReport._fields
 MOMENTS_HEADER = (
     "n", "p", "dim", "method", "mean", "variance", "second_moment",
     "window_center", "window_scale",
@@ -76,6 +73,8 @@ def _json_cell(value, precision: int):
 
 def _json_member(key: str, value) -> str:
     """One top-level entry as json.dumps(payload, indent=2) lays it out."""
+    import json
+
     return json.dumps({key: value}, indent=2)[2:-2]
 
 
@@ -104,6 +103,8 @@ def _render(header, rows, params, warnings, fmt, precision, summary=None):
                 spec += "\n"
             yield spec * count % (tuple(map(_csv_text, cells)) if needs_text else cells)
         return
+    import json
+
     params = {k: _json_cell(v, precision) for k, v in params.items()}
     yield "{\n" + _json_member("params", params) + ',\n  "results": ['
     spec = "\n    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in header) + "\n    }"
@@ -123,10 +124,12 @@ def _render(header, rows, params, warnings, fmt, precision, summary=None):
 def _write(chunks, out: str) -> None:
     """Write the chunks to out, or to standard output for "-", as they come.
 
-    A failed write, a closed pipe included, ends the run with one Error:
-    line and exit status 1.
+    A failed write ends the run with one Error: line and exit status 1,
+    and so do a closed pipe and a standard output closed before the run.
     """
     if out == "-":
+        if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
+            raise click.ClickException("cannot write to standard output: it is closed")
         try:
             for chunk in chunks:
                 click.echo(chunk, nl=False)
@@ -169,6 +172,8 @@ def cli() -> None:
 
 
 def _optimum_entry(opt, precision: int) -> dict:
+    from maxdiv.geometry import area_profile
+
     profile = area_profile(opt.x_star)
     return {
         "x_star": round(opt.x_star, precision),
@@ -209,6 +214,8 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     The table holds one row per grid point; the optimum summary goes to
     standard error for CSV output and into a "summary" entry for JSON.
     """
+    from maxdiv import fairness as fairness_mod
+
     if not 0.0 < tol < math.inf:
         raise click.ClickException(f"--tol must be positive and finite, got {tol}")
     try:
@@ -225,8 +232,8 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
     # fairness_mod._rows, not scan: a list of reports would hold the table
-    _write(_render(FAIRNESS_HEADER, fairness_mod._rows(grid), params, [], fmt, precision,
-                   summary=summary if fmt == "json" else None), out)
+    _write(_render(fairness_mod.FairnessReport._fields, fairness_mod._rows(grid), params, [],
+                   fmt, precision, summary=summary if fmt == "json" else None), out)
     if fmt == "csv":
         for line in _summary_lines(summary, precision):
             click.echo(line, err=True)
@@ -244,13 +251,15 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
 def cmd_moments(n: int, p: float, dim: int, method: str,
                 fmt: str, out: str, precision: int) -> None:
     """Mean, variance and second moment of the region count."""
+    from maxdiv import moments as moments_mod
+
     route = {
-        "exact": moments_exact,
-        "closed": moments_closed_form,
-        "asymptotic": moments_asymptotic,
+        "exact": moments_mod.moments_exact,
+        "closed": moments_mod.moments_closed_form,
+        "asymptotic": moments_mod.moments_asymptotic,
     }[method]
     try:
-        bundle = route(CutModel(n, p, dim))
+        bundle = route(moments_mod.CutModel(n, p, dim))
     except ValueError as exc:  # a bad p, or a route that cannot take this model
         raise click.ClickException(str(exc))
     except OverflowError as exc:
@@ -270,7 +279,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
 
 
 @cli.command("clt")
-@click.option("--n", type=click.IntRange(2, clt_mod.MAX_CUTS), required=True,
+@click.option("--n", type=click.IntRange(2, MAX_CUTS), required=True,
               help="Number of attempted cuts.")
 @click.option("--p", type=float, required=True,
               help="Probability each cut succeeds; must be strictly inside (0, 1).")
@@ -281,6 +290,12 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
 def cmd_clt(n: int, p: float, samples: int, seed: int,
             fmt: str, out: str, precision: int) -> None:
     """Rinott terms, CLT threshold margin, and an empirical KS distance."""
+    # numpy's import starts one OpenBLAS worker thread per core, which
+    # costs CPU time although clt does no linear algebra; one thread
+    # unless the caller chose otherwise.  Must precede numpy's import.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from maxdiv import clt as clt_mod
+
     try:
         terms = clt_mod.rinott_terms(n, p)
         check = clt_mod.threshold_check(n, p)
@@ -311,19 +326,21 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str, precision: int) -> None:
     Exits nonzero if any arrangement cannot be sampled or any count
     disagrees with the formula.
     """
+    from maxdiv import geometry
+
     try:
         seed_list = [int(token) for token in seeds.split(",") if token.strip()]
     except ValueError:
         raise click.ClickException(f"--seeds must be comma-separated integers, got {seeds!r}")
     if not seed_list:
         raise click.ClickException("--seeds produced an empty list")
-    expected = max_regions(n, 2)
+    expected = geometry.max_regions(n, 2)
     rows = []
     all_pass = True
     for seed in seed_list:
         try:
-            counted = count_regions_geometric(random_chord_set(n, seed))
-        except RetryBudgetError as exc:
+            counted = geometry.count_regions_geometric(geometry.random_chord_set(n, seed))
+        except geometry.RetryBudgetError as exc:
             raise click.ClickException(str(exc))
         ok = counted == expected
         all_pass &= ok

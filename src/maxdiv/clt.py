@@ -29,15 +29,11 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
+from maxdiv import MAX_CUTS
 from maxdiv.moments import CutModel, expected_regions, variance_closed_form
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: Largest cut count n with n(n - 1) <= 2^63 - 1, so that the region
-#: count 1 + x + x(x - 1)/2 of any draw x <= n is computed in int64
-#: without overflow.
-MAX_CUTS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
 
 # Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
 # 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).

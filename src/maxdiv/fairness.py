@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from maxdiv.geometry import ARC_MAX, AreaProfile, _areas, _check_arc
@@ -75,6 +76,16 @@ class Optimum:
     objective_value: float
     kind: str
     at_boundary: bool
+
+
+def _grid(points: int):
+    """points >= 2 evenly spaced arc lengths from 0 to ARC_MAX, lazily.
+
+    The last point is ARC_MAX itself: ARC_MAX * (g - 1) / (g - 1) rounds
+    one unit above it for some g (982 among them), outside the domain.
+    """
+    last = points - 1
+    return chain((ARC_MAX * i / last for i in range(last)), (ARC_MAX,))
 
 
 def _guarded_sqrt(value: float) -> float:
@@ -194,7 +205,7 @@ def _locate_minima(f, tol: float) -> list[Optimum]:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    xs = [ARC_MAX * i / (BRACKET_GRID - 1) for i in range(BRACKET_GRID)]
+    xs = list(_grid(BRACKET_GRID))
     fs = [f(x) for x in xs]
 
     brackets: list[tuple[float, float]] = []
@@ -318,7 +329,7 @@ def _rows(grid_points: int):
     The CLI streams these without building the table.  The caller checks
     that grid_points is at least 2.
     """
-    return map(_measures, (ARC_MAX * i / (grid_points - 1) for i in range(grid_points)))
+    return map(_measures, _grid(grid_points))
 
 
 def scan(grid_points: int) -> list[FairnessReport]:

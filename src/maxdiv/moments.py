@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from maxdiv.geometry import max_regions as region_count
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Largest n the enumeration routes accept unless the caller raises it.
 ENUMERATION_BOUND = 1000
@@ -108,30 +111,34 @@ def second_moment_2d(model: CutModel) -> float:
 
 
 def variance_closed_form(model: CutModel) -> float:
-    """V(R) as an exact polynomial in n and p, for d = 2 and d = 3."""
+    """V(R) as an exact polynomial in n and p, for d = 2 and d = 3.
+
+    V(R) vanishes at p = 0 and at p = 1, so the polynomial has the
+    factor n p q with q = 1 - p.  The bracket below is 1 at n = 1 and
+    has nonnegative coefficients in p for every n >= 2, so no term is
+    negative and nothing cancels, even for p within a rounding unit of
+    1, where the expanded form in powers of p loses every digit:
+
+        d = 2:  n p q [1 + (n-1) p (5 + (2n-3) p) / 2]
+        d = 3:  n p q [1 + (n-1) p (5/2 + p ((19n-35)/6
+                    + p ((n-2)(9n-20)/6 + p (n-2)(3n^2-15n+20)/12)))]
+    """
     n, p = model.n, model.p
+    q = 1.0 - p
     if model.d == 2:
-        var = (
-            n * p
-            + 0.5 * (n * (5 * n - 7)) * p**2
-            + (n * (n - 1) * (n - 4)) * p**3
-            - 0.5 * (n * (n - 1) * (2 * n - 3)) * p**4
-        )
+        inner = (n - 1) * p * (5 + (2 * n - 3) * p) / 2
     elif model.d == 3:
-        n2 = n * n
-        var = (
-            n * p
-            + 0.5 * (n * (5 * n - 7)) * p**2
-            + (n * (n - 1) * (19 * n - 50)) / 6.0 * p**3
-            + 0.5 * (n * (n - 1) * (3 * n2 - 19 * n + 25)) * p**4
-            + 0.25 * (n * (n - 1) * (n - 2) * (n2 - 11 * n + 20)) * p**5
-            - (n * (n - 1) * (n - 2) * (3 * n2 - 15 * n + 20)) / 12.0 * p**6
+        inner = (n - 1) * p * (
+            2.5
+            + p * ((19 * n - 35) / 6
+                   + p * ((n - 2) * (9 * n - 20) / 6
+                          + p * ((n - 2) * (3 * n * n - 15 * n + 20) / 12)))
         )
     else:
         raise UnsupportedDimensionError(
             f"variance polynomial covers d in {{2, 3}}, got d = {model.d}"
         )
-    return _guard_variance(var, expected_regions(model))
+    return n * p * q * (1 + inner)
 
 
 def variance_asymptotic(model: CutModel) -> float:
@@ -202,21 +209,14 @@ def variance_exact(model: CutModel, max_n: int = ENUMERATION_BOUND) -> float:
     return moments_exact(model, max_n).variance
 
 
-def _guard_variance(var: float, mean: float) -> float:
-    # cancellation among the polynomial's terms may leave a tiny negative residue
-    if var < 0.0:
-        if var < -1e-9 * mean * mean:
-            raise ValueError(f"variance {var!r} is negative beyond rounding noise")
-        return 0.0
-    return var
-
-
 def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fraction, Fraction]:
     """(E(R), E(R^2), V(R)) in exact rational arithmetic.
 
     Slow but indisputable; meant for holding the floating-point routes
     to account at small n.
     """
+    from fractions import Fraction
+
     if not isinstance(p, Fraction):
         raise TypeError("p must be a Fraction for the rational route")
     if not 0 <= p <= 1:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -10,10 +11,13 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv import cli as cli_module
-from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, cli
+from maxdiv import moments as moments_module
+from maxdiv.cli import CHUNK_ROWS, cli
 from maxdiv.clt import MAX_CUTS
-from maxdiv.fairness import scan
+from maxdiv.fairness import FairnessReport, scan
 from maxdiv.moments import RegionMoments
+
+FAIRNESS_HEADER = FairnessReport._fields
 
 runner = CliRunner()
 
@@ -161,6 +165,24 @@ def test_fairness_closed_stdout_ends_in_one_error_line():
     assert "Traceback" not in stderr
     assert stderr.startswith("Error: cannot write to standard output:")
     assert stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor between fork and exec")
+def test_fairness_stdout_closed_at_start_ends_in_one_error_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "10"],
+        stderr=subprocess.PIPE, text=True, timeout=30, preexec_fn=lambda: os.close(1),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "Error: cannot write to standard output: it is closed\n"
+
+
+def test_fairness_grid_whose_last_point_rounds_past_the_domain():
+    res = invoke("fairness", "--grid", "982")
+    assert res.exit_code == 0
+    lines = res.stdout.splitlines()
+    assert len(lines) == 983
+    assert lines[-1].split(",")[0] == "1.0471975512"
 
 
 def test_fairness_unopenable_out_ends_in_one_error_line(tmp_path):
@@ -364,7 +386,7 @@ def test_moments_refuses_non_finite_moments(method, argv, fmt):
 @pytest.mark.parametrize("field", ["mean", "variance", "second_moment"])
 def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field):
     values = {"mean": 1.0, "variance": 1.0, "second_moment": 2.0, field: math.nan}
-    monkeypatch.setattr(cli_module, route, lambda model: RegionMoments(**values, method=route, d=model.d))
+    monkeypatch.setattr(moments_module, route, lambda model: RegionMoments(**values, method=route, d=model.d))
     method = {"moments_exact": "exact", "moments_closed_form": "closed"}.get(route, "asymptotic")
     res = invoke("moments", "--n", "5", "--p", "0.5", "--method", method)
     assert _single_error_line(res)
@@ -381,19 +403,52 @@ def test_subcommands_other_than_clt_load_no_numpy(argv):
         "import sys\n"
         "from maxdiv.cli import cli\n"
         f"cli.main({argv!r}, standalone_mode=False)\n"
-        "print(sorted({'numpy', 'scipy'} & set(sys.modules)), file=sys.stderr)\n"
+        "unused = {'numpy', 'scipy', 'maxdiv.clt', 'json', 'fractions'}\n"
+        "print(sorted(unused & set(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stderr.splitlines()[-1] == "[]"
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, maxdiv.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"],
-        capture_output=True, text=True, check=True,
+    """Nor any analysis module, json or fractions: each subcommand
+    imports what it uses."""
+    code = (
+        "import sys, maxdiv.cli\n"
+        "unused = {'numpy', 'scipy', 'json', 'fractions', 'maxdiv.clt', 'maxdiv.moments',\n"
+        "          'maxdiv.fairness', 'maxdiv.geometry'}\n"
+        "print(sorted(unused & set(sys.modules)))\n"
     )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _clt_in_process(env: dict) -> list[str]:
+    """OPENBLAS_NUM_THREADS, whether numpy is loaded, and the thread
+    count, after one clt run inside a fresh interpreter."""
+    code = (
+        "import os, sys\n"
+        "from maxdiv.cli import cli\n"
+        "cli.main(['clt', '--n', '1000', '--p', '0.5', '--samples', '100', '--out', os.devnull],\n"
+        "         standalone_mode=False)\n"
+        "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, threads)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env, timeout=60)
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads in /proc; one CPU starts no OpenBLAS worker")
+def test_clt_runs_in_one_thread():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _clt_in_process(env) == ["1", "True", "1"]
+
+
+def test_clt_keeps_the_callers_openblas_thread_count():
+    setting, numpy_loaded, _ = _clt_in_process({**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    assert (setting, numpy_loaded) == ("2", "True")
 
 
 def test_oracle_three_chords():

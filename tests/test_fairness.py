@@ -251,6 +251,15 @@ def test_scan_endpoints_and_length():
     assert len(scan(1000)) == 1000
 
 
+def test_grid_stays_inside_the_domain():
+    """ARC_MAX * (g - 1) / (g - 1) rounds above ARC_MAX at g = 982, 1963,
+    1996, 3925, 3958 and 3991; the grid must end on ARC_MAX exactly."""
+    for g in range(2, 5001):
+        points = list(fairness._grid(g))
+        assert len(points) == g and points[0] == 0.0 and points[-1] == ARC_MAX
+        assert max(points) == ARC_MAX, g
+
+
 def test_scan_rows_conserve_area():
     for row in scan(257):
         assert row.profile.total() == pytest.approx(math.pi, abs=1e-12)

@@ -158,6 +158,20 @@ def test_enumeration_matches_rational_route(n, d, p):
     got = (bundle.mean, bundle.second_moment, bundle.variance)
     for value, want in zip(got, exact):
         assert abs(Fraction(value) - want) <= Fraction(1, 10**11) * want
+    if d in (2, 3):
+        # every term of the factored polynomial is nonnegative, so a
+        # few rounding units bound its error even at p near 0 or 1
+        closed = variance_closed_form(CutModel(n, p, d))
+        assert abs(Fraction(closed) - exact[2]) <= Fraction(1, 10**14) * exact[2]
+
+
+def test_closed_form_variance_keeps_its_digits_next_to_one():
+    """At p = 1 - 2^-53 the expanded d = 2 polynomial cancelled to 0.0."""
+    n, p = 10**6, 1.0 - 2.0**-53
+    want = _variance_2d_rational(n, Fraction(p))
+    got = variance_closed_form(CutModel(n, p, 2))
+    assert abs(Fraction(got) - want) <= Fraction(1, 10**14) * want
+    assert f"{got:.10f}" == "111.0223024625"
 
 
 def test_enumeration_survives_counts_beyond_sqrt_of_float_range():
