@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 
 import click
 
-from maxdiv import MAX_CUTS
+from maxdiv import MAX_CUTS, MAX_SAMPLES
 
 MOMENTS_HEADER = (
     "n", "p", "dim", "method", "mean", "variance", "second_moment",
@@ -78,42 +78,145 @@ def _json_member(key: str, value) -> str:
     return json.dumps({key: value}, indent=2)[2:-2]
 
 
-def _chunks(rows, width: int):
-    """Yield (row count, flat cell tuple) for each run of CHUNK_ROWS rows."""
-    rows = iter(rows)
-    while cells := tuple(chain.from_iterable(islice(rows, CHUNK_ROWS))):
-        yield len(cells) // width, cells
+def _workers() -> int:
+    """How many processes may build a table: one per CPU this process may
+    run on, or 1 where the platform has no os.fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _render(header, rows, params, warnings, fmt, precision, summary=None):
-    """Yield the output text in chunks of at most CHUNK_ROWS table rows.
+def _map_chunks(build, count: int):
+    """Yield build(start, stop) for each run of CHUNK_ROWS of count rows, in order.
 
-    rows is consumed once, a chunk at a time, so memory does not grow
-    with the table.  Every row must have the cell types of the first,
-    which fix the CSV template.  The JSON chunks join up to exactly
-    json.dumps(payload, indent=2) + "\n".
+    With W = min(_workers(), chunks) >= 2, chunk k is built by worker
+    k % W: worker 0 is this process, the others are forked children that
+    send their chunks through a pipe each.  A child blocks on its pipe
+    until its chunk is read, so every process holds at most one chunk.
+    Children are killed and reaped when this generator ends or is closed.
+    """
+    starts = range(0, count, CHUNK_ROWS)
+
+    def chunk(start: int) -> str:
+        return build(start, min(start + CHUNK_ROWS, count))
+
+    workers = min(_workers(), len(starts))
+    if workers < 2:
+        yield from map(chunk, starts)
+        return
+    import signal
+
+    pids, readers = [], []
+    try:
+        for worker in range(1, workers):
+            try:
+                read_fd, write_fd = os.pipe()
+                readers.append(open(read_fd, "rb"))
+                # the parent closes its write end on leaving this block;
+                # the child never leaves _serve
+                with open(write_fd, "wb") as writer:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(chunk, starts[worker::workers], readers, writer)
+            except OSError as exc:
+                raise click.ClickException(f"cannot start a worker process: {exc}")
+            pids.append(pid)
+        for k, start in enumerate(starts):
+            worker = k % workers
+            yield chunk(start) if worker == 0 else _receive(readers[worker - 1], start, count)
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+
+
+def _serve(chunk, starts, readers, writer) -> None:
+    """A forked worker: send chunk(start) for each start to the parent, then exit.
+
+    Each chunk goes as its UTF-8 byte count (8 bytes, little-endian,
+    signed) and its bytes; an exception goes as minus the byte count of
+    its message and the message, and ends the worker.  Never returns:
+    os._exit skips the parent's exit handlers and the flush of its
+    inherited buffers (standard output, an --out file), which the
+    parent owns.
+    """
+    try:
+        for reader in readers:
+            reader.close()
+        for start in starts:
+            try:
+                data = chunk(start).encode()
+                size = len(data)
+            except Exception as exc:  # the parent reports it as one Error: line
+                data = f"{type(exc).__name__}: {exc}".encode()
+                size = -len(data)
+            writer.write(size.to_bytes(8, "little", signed=True) + data)
+            writer.flush()
+            if size < 0:
+                break
+    finally:
+        os._exit(0)
+
+
+def _receive(reader, start: int, count: int) -> str:
+    """The chunk of rows from start that a worker sent through reader."""
+    head = reader.read(8)
+    size = int.from_bytes(head, "little", signed=True)
+    data = reader.read(abs(size))
+    if len(head) == 8 and len(data) == abs(size):
+        if size >= 0:
+            return data.decode()
+        reason = data.decode(errors="replace")
+    else:
+        reason = "it ended before sending them"
+    stop = min(start + CHUNK_ROWS, count)
+    raise click.ClickException(
+        f"the worker process building table rows {start}..{stop - 1} failed: {reason}"
+    )
+
+
+def _render(header, count, rows, params, warnings, fmt, precision, summary=None):
+    """Yield the output text of a table of count rows, chunk by chunk.
+
+    rows(start, stop) gives rows start..stop-1; each chunk of CHUNK_ROWS
+    rows is computed and formatted in one piece by _map_chunks, so memory
+    does not grow with the table.  Every row must have the cell types of
+    the first, which fix the CSV template.  The JSON chunks join up to
+    exactly json.dumps(payload, indent=2) + "\n".
     """
     width = len(header)
     if fmt == "csv":
+
+        def build(start: int, stop: int) -> str:
+            cells = tuple(chain.from_iterable(rows(start, stop)))
+            spec, needs_text = _csv_template(tuple(map(type, cells[:width])), precision)
+            return (spec + "\n") * (stop - start) % (
+                tuple(map(_csv_text, cells)) if needs_text else cells
+            )
+
         yield ",".join(header) + "\n"
-        spec = None
-        for count, cells in _chunks(rows, width):
-            if spec is None:
-                spec, needs_text = _csv_template(tuple(map(type, cells[:width])), precision)
-                spec += "\n"
-            yield spec * count % (tuple(map(_csv_text, cells)) if needs_text else cells)
+        yield from _map_chunks(build, count)
         return
     import json
 
     params = {k: _json_cell(v, precision) for k, v in params.items()}
     yield "{\n" + _json_member("params", params) + ',\n  "results": ['
     spec = "\n    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in header) + "\n    }"
-    separator = ""
-    for count, cells in _chunks(rows, width):
+
+    def build(start: int, stop: int) -> str:
         # one C-encoder call per chunk; json escapes every control character
         # inside a string, so each "\n" separates two encoded cells
+        cells = chain.from_iterable(rows(start, stop))
         encoded = json.dumps([_json_cell(v, precision) for v in cells], separators=("\n", ": "))
-        yield separator + ",".join([spec] * count) % tuple(encoded[1:-1].split("\n"))
+        return ",".join([spec] * (stop - start)) % tuple(encoded[1:-1].split("\n"))
+
+    separator = ""
+    for text in _map_chunks(build, count):
+        yield separator + text
         separator = ","
     tail = ["\n  ]" if separator else "]", _json_member("warnings", list(warnings))]
     if summary is not None:
@@ -126,27 +229,31 @@ def _write(chunks, out: str) -> None:
 
     A failed write ends the run with one Error: line and exit status 1,
     and so do a closed pipe and a standard output closed before the run.
+    The chunks generator is closed either way, which ends its workers.
     """
-    if out == "-":
-        if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
-            raise click.ClickException("cannot write to standard output: it is closed")
-        try:
-            for chunk in chunks:
-                click.echo(chunk, nl=False)
-        except OSError as exc:
-            # send what is still buffered to devnull, or the interpreter's
-            # final flush of stdout fails again and prints a traceback
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            raise click.ClickException(f"cannot write to standard output: {exc}")
-        return
     try:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-    except OSError as exc:
-        raise click.ClickException(f"cannot write {out!r}: {exc}")
+        if out == "-":
+            if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
+                raise click.ClickException("cannot write to standard output: it is closed")
+            try:
+                for chunk in chunks:
+                    click.echo(chunk, nl=False)
+            except OSError as exc:
+                # send what is still buffered to devnull, or the interpreter's
+                # final flush of stdout fails again and prints a traceback
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                raise click.ClickException(f"cannot write to standard output: {exc}")
+            return
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+        except OSError as exc:
+            raise click.ClickException(f"cannot write {out!r}: {exc}")
+    finally:
+        chunks.close()
 
 
 def _output_options(fn):
@@ -232,7 +339,8 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
     # fairness_mod._rows, not scan: a list of reports would hold the table
-    _write(_render(fairness_mod.FairnessReport._fields, fairness_mod._rows(grid), params, [],
+    _write(_render(fairness_mod.FairnessReport._fields, grid,
+                   lambda start, stop: fairness_mod._rows(grid, start, stop), params, [],
                    fmt, precision, summary=summary if fmt == "json" else None), out)
     if fmt == "csv":
         for line in _summary_lines(summary, precision):
@@ -275,7 +383,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     row = (n, float(p), dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)
     params = {"n": n, "p": float(p), "dim": dim, "method": method, "precision": precision}
-    _write(_render(MOMENTS_HEADER, [row], params, [], fmt, precision), out)
+    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: [row], params, [], fmt, precision), out)
 
 
 @cli.command("clt")
@@ -283,7 +391,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
               help="Number of attempted cuts.")
 @click.option("--p", type=float, required=True,
               help="Probability each cut succeeds; must be strictly inside (0, 1).")
-@click.option("--samples", type=click.IntRange(1), default=10**5, show_default=True,
+@click.option("--samples", type=click.IntRange(1, MAX_SAMPLES), default=10**5, show_default=True,
               help="Monte Carlo sample count for the KS experiment.")
 @click.option("--seed", type=int, default=1, show_default=True, help="Stream seed.")
 @_output_options
@@ -311,7 +419,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     )
     params = {"n": n, "p": float(p), "samples": samples, "seed": seed,
               "precision": precision}
-    _write(_render(CLT_HEADER, [row], params, [], fmt, precision), out)
+    _write(_render(CLT_HEADER, 1, lambda start, stop: [row], params, [], fmt, precision), out)
 
 
 @cli.command("oracle")
@@ -346,7 +454,8 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str, precision: int) -> None:
         all_pass &= ok
         rows.append((n, seed, counted, expected, "pass" if ok else "fail"))
     params = {"n": n, "seeds": seed_list, "precision": precision}
-    _write(_render(ORACLE_HEADER, rows, params, [], fmt, precision), out)
+    _write(_render(ORACLE_HEADER, len(rows), lambda start, stop: rows[start:stop], params, [],
+                   fmt, precision), out)
     if not all_pass:
         sys.exit(1)
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from maxdiv import MAX_CUTS
+from maxdiv import MAX_CUTS, MAX_SAMPLES
 from maxdiv.moments import CutModel, expected_regions, variance_closed_form
 
 if TYPE_CHECKING:
@@ -205,7 +205,7 @@ def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
     Hoeffding's window around np; the outcomes left out each have
     probability below 2^-1100, so the draws are those of the full
     float64 CDF.  n is capped at MAX_CUTS, beyond which region counts
-    overflow int64.
+    overflow int64, and m at MAX_SAMPLES, which bounds the memory.
     """
     if n < 1:
         raise ValueError(f"cut count must be positive, got {n}")
@@ -213,8 +213,8 @@ def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
         raise ValueError(
             f"cut count {n} exceeds {MAX_CUTS}, the largest whose region counts fit in int64"
         )
-    if m < 1:
-        raise ValueError(f"sample count must be positive, got {m}")
+    if not 1 <= m <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
     import numpy as np

@@ -78,14 +78,19 @@ class Optimum:
     at_boundary: bool
 
 
-def _grid(points: int):
-    """points >= 2 evenly spaced arc lengths from 0 to ARC_MAX, lazily.
+def _grid(points: int, start: int = 0, stop: int | None = None):
+    """Points start..stop-1 (all by default) of points >= 2 evenly spaced
+    arc lengths from 0 to ARC_MAX, lazily.
 
     The last point is ARC_MAX itself: ARC_MAX * (g - 1) / (g - 1) rounds
     one unit above it for some g (982 among them), outside the domain.
     """
     last = points - 1
-    return chain((ARC_MAX * i / last for i in range(last)), (ARC_MAX,))
+    stop = points if stop is None else stop
+    return chain(
+        (ARC_MAX * i / last for i in range(start, min(stop, last))),
+        (ARC_MAX,) if stop == points else (),
+    )
 
 
 def _guarded_sqrt(value: float) -> float:
@@ -323,13 +328,15 @@ def report(x: float) -> FairnessReport:
     return FairnessReport._make(_measures(x))
 
 
-def _rows(grid_points: int):
-    """The rows of ``scan`` as plain tuples, computed one at a time.
+def _rows(grid_points: int, start: int = 0, stop: int | None = None):
+    """Rows start..stop-1 (all by default) of ``scan`` as plain tuples,
+    computed one at a time.
 
-    The CLI streams these without building the table.  The caller checks
-    that grid_points is at least 2.
+    Only the requested rows are computed, so the CLI can stream the
+    table and hand disjoint row ranges to separate processes.  The
+    caller checks that grid_points is at least 2.
     """
-    return map(_measures, _grid(grid_points))
+    return map(_measures, _grid(grid_points, start, stop))
 
 
 def scan(grid_points: int) -> list[FairnessReport]:

@@ -55,9 +55,7 @@ def area_triangle(x: float) -> float:
     Shrinks monotonically from 3*sqrt(3)/4 at x = 0 to a point at
     x = pi/3, where the three chords meet in the center.
     """
-    _check_arc(x)
-    s = math.sin(math.pi / 6 - x / 2)
-    return 3.0 * _SQRT3 * s * s
+    return _areas(x)[0]
 
 
 def area_circular_triangle(x: float) -> float:
@@ -66,20 +64,18 @@ def area_circular_triangle(x: float) -> float:
     The piece bounded by an arc of length x and two chord segments;
     there are three of them.  Zero at x = 0.
     """
-    _check_arc(x)
-    return x / 2 - 2.0 * math.sin(x / 2) * math.sin(math.pi / 6 - x / 2)
+    return _areas(x)[1]
 
 
 def area_circular_trapezoid(x: float) -> float:
-    """Area of one circular trapezoid.
+    """Area of one circular trapezoid:
+    pi/3 - x/2 + 2*sin(x/2)*sin(pi/6 - x/2) - sqrt(3)*sin^2(pi/6 - x/2).
 
     The remainder of a 120-degree sector after the circular triangle and
     a third of the central triangle are removed, so the three classes
     always add up to the disk.
     """
-    _check_arc(x)
-    s = math.sin(math.pi / 6 - x / 2)
-    return math.pi / 3 - x / 2 + 2.0 * math.sin(x / 2) * s - _SQRT3 * s * s
+    return _areas(x)[2]
 
 
 @dataclass(frozen=True)
@@ -119,9 +115,8 @@ class AreaProfile:
 def _areas(x: float) -> tuple[float, float, float]:
     """(triangle, circular_triangle, circular_trapezoid) at arc length x.
 
-    The three formulas above with one domain check and each sine taken
-    once; every expression keeps its operation order, so the values are
-    bit-identical to the three area functions.
+    The one evaluation of the three area formulas, with one domain check
+    and each sine taken once; the area functions above return its parts.
     """
     _check_arc(x)
     s = math.sin(_PI_6 - x / 2)

@@ -7,9 +7,11 @@ import sys
 import time
 import tracemalloc
 
+import click
 import pytest
 from click.testing import CliRunner
 
+from maxdiv import MAX_SAMPLES
 from maxdiv import cli as cli_module
 from maxdiv import moments as moments_module
 from maxdiv.cli import CHUNK_ROWS, cli
@@ -18,6 +20,13 @@ from maxdiv.fairness import FairnessReport, scan
 from maxdiv.moments import RegionMoments
 
 FAIRNESS_HEADER = FairnessReport._fields
+
+# Some tests fork this process, which may hold the OpenBLAS threads that
+# numpy started for other test modules, and Python 3.12 warns about that.
+# The forked workers run only pure-Python table code, never BLAS.
+pytestmark = pytest.mark.filterwarnings(
+    r"ignore:.*use of fork\(\) may lead to deadlocks:DeprecationWarning"
+)
 
 runner = CliRunner()
 
@@ -111,7 +120,8 @@ def test_fairness_json_stream_matches_json_dumps(grid):
 def test_json_render_matches_json_dumps_for_any_cells(rows):
     header = ("i", "text", "flag", "maybe", "value")
     params = {"n": 3, "seeds": [0, 1], "p": 0.123456789}
-    text = "".join(cli_module._render(header, rows, params, ["w"], "json", 4, summary={"k": [1.5]}))
+    text = "".join(cli_module._render(header, len(rows), lambda start, stop: rows[start:stop], params,
+                                      ["w"], "json", 4, summary={"k": [1.5]}))
     payload = {
         "params": {"n": 3, "seeds": [0, 1], "p": 0.1235},
         "results": [
@@ -126,9 +136,122 @@ def test_json_render_matches_json_dumps_for_any_cells(rows):
 
 def test_csv_render_maps_bool_and_none_cells():
     rows = [(1, True, None, 0.25)] * (CHUNK_ROWS + 2)
-    chunks = list(cli_module._render(("a", "b", "c", "d"), rows, {}, [], "csv", 3))
+    chunks = list(cli_module._render(("a", "b", "c", "d"), len(rows), lambda start, stop: rows[start:stop],
+                                     {}, [], "csv", 3))
     assert len(chunks) == 3  # the header, one full chunk, one short chunk
     assert "".join(chunks) == "a,b,c,d\n" + "1,true,,0.250\n" * (CHUNK_ROWS + 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids this process forks during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _fairness_reference(grid: int, fmt: str, summary) -> str:
+    """What `fairness --grid G` prints, built from scan() alone."""
+    if fmt == "csv":
+        return ",".join(FAIRNESS_HEADER) + "\n" + "".join(
+            ",".join(f"{value:.10f}" for value in row) + "\n" for row in scan(grid)
+        )
+    payload = {
+        "params": {"grid": grid, "tol": 1e-10, "precision": 10},
+        "results": [
+            {key: round(value, 10) for key, value in zip(FAIRNESS_HEADER, row)}
+            for row in scan(grid)
+        ],
+        "warnings": [],
+        "summary": summary,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("grid", [2, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1, 5 * CHUNK_ROWS + 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fairness_output_is_the_same_on_any_worker_count(monkeypatch, forks, tmp_path, grid, fmt):
+    chunks = -(-grid // CHUNK_ROWS)
+    outputs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cli_module, "_workers", lambda: workers)
+        forks.clear()
+        res = invoke("fairness", "--grid", str(grid), "--format", fmt)
+        assert res.exit_code == 0, res.output
+        assert len(forks) == min(workers, chunks) - 1
+        _assert_reaped(forks)
+        target = tmp_path / f"table-{workers}"
+        assert invoke("fairness", "--grid", str(grid), "--format", fmt, "--out", str(target)).exit_code == 0
+        _assert_reaped(forks)
+        outputs += [res.stdout, target.read_text(encoding="utf-8")]
+    summary = json.loads(outputs[0])["summary"] if fmt == "json" else None
+    assert outputs == [_fairness_reference(grid, fmt, summary)] * 6
+
+
+@pytest.mark.parametrize("failure, reason", [
+    (lambda: 1 / 0, "ZeroDivisionError: division by zero"),
+    (lambda: os._exit(3), "it ended before sending them"),
+])
+def test_fairness_worker_failure_ends_in_one_error_line(monkeypatch, forks, failure, reason):
+    from maxdiv import fairness
+
+    rows = fairness._rows
+
+    def failing_rows(grid, start, stop):
+        if start == CHUNK_ROWS:
+            failure()
+        return rows(grid, start, stop)
+
+    monkeypatch.setattr(fairness, "_rows", failing_rows)
+    monkeypatch.setattr(cli_module, "_workers", lambda: 2)
+    res = invoke("fairness", "--grid", str(3 * CHUNK_ROWS))
+    assert _single_error_line(res)
+    assert res.exit_code == 1
+    assert f"rows {CHUNK_ROWS}..{2 * CHUNK_ROWS - 1} failed: {reason}" in res.stderr
+    assert "Traceback" not in res.output
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_fairness_failed_write_ends_every_worker(monkeypatch, forks):
+    monkeypatch.setattr(cli_module, "_workers", lambda: 3)
+    argv = ["fairness", "--grid", str(5 * CHUNK_ROWS + 3)]
+    res = invoke(*argv, "--out", "/dev/full")
+    assert _single_error_line(res)
+    assert "cannot write '/dev/full'" in res.stderr
+    assert len(forks) == 2
+    _assert_reaped(forks)
+    forks.clear()
+    # a pipe nobody reads takes the header, then refuses the first chunk
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(write_fd, False)
+    with open(read_fd, "rb"), open(write_fd, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(click.ClickException, match="cannot write to standard output"):
+            cli.main(argv, standalone_mode=False)
+    assert len(forks) == 2
+    _assert_reaped(forks)
+
+
+def test_workers_fall_back_to_one_without_fork(monkeypatch):
+    assert cli_module._workers() >= 1
+    monkeypatch.delattr(os, "fork")
+    assert cli_module._workers() == 1
 
 
 def _traced_fairness_peak(grid, path) -> int:
@@ -331,6 +454,12 @@ def test_clt_n_limit():
     beyond = invoke("clt", "--n", str(MAX_CUTS + 1), "--p", "0.9", "--samples", "5")
     assert _single_error_line(beyond)
     assert str(MAX_CUTS) in beyond.stderr
+
+
+def test_clt_samples_limit():
+    res = invoke("clt", "--n", "100", "--p", "0.5", "--samples", str(MAX_SAMPLES + 1))
+    assert _single_error_line(res)
+    assert str(MAX_SAMPLES) in res.stderr
 
 
 def test_clt_rejects_underflowing_sigma():

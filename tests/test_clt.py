@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from maxdiv import MAX_SAMPLES
 from maxdiv.clt import (
     MAX_CUTS,
     NormalitySample,
@@ -199,6 +200,18 @@ def test_samples_beyond_the_cut_limit_are_refused():
     for p in (0.0, 0.9, 1.0):
         with pytest.raises(ValueError, match="int64"):
             sample_region_counts(MAX_CUTS + 1, p, 5, seed=3)
+
+
+def test_samples_beyond_the_sample_limit_are_refused_before_allocating():
+    tracemalloc.start()
+    try:
+        for p in (0.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+                sample_region_counts(10**7, p, MAX_SAMPLES + 1, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _reference_draws(n: int, p: float, m: int, seed: int) -> np.ndarray:

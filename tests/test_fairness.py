@@ -260,6 +260,13 @@ def test_grid_stays_inside_the_domain():
         assert max(points) == ARC_MAX, g
 
 
+def test_grid_pieces_join_up_to_the_grid():
+    for g in (2, 3, 982, 1000):
+        for step in (1, 7, g - 1, g):
+            pieces = [list(fairness._grid(g, start, min(start + step, g))) for start in range(0, g, step)]
+            assert sum(pieces, []) == list(fairness._grid(g))
+
+
 def test_scan_rows_conserve_area():
     for row in scan(257):
         assert row.profile.total() == pytest.approx(math.pi, abs=1e-12)

@@ -111,9 +111,19 @@ def test_areas_nonnegative():
         assert min(area_profile(x).areas()) >= 0.0
 
 
+def _paper_areas(x):
+    """The three area formulas as the paper states them, one sine per use."""
+    s = math.sin(math.pi / 6 - x / 2)
+    return (
+        3.0 * math.sqrt(3.0) * s * s,
+        x / 2 - 2.0 * math.sin(x / 2) * math.sin(math.pi / 6 - x / 2),
+        math.pi / 3 - x / 2 + 2.0 * math.sin(x / 2) * s - math.sqrt(3.0) * s * s,
+    )
+
+
 def test_shared_kernel_matches_area_functions_bit_for_bit():
     for x in GRID + [0.0, ARC_MAX, 0.45061, 0.96976, 0.6520005058]:
-        assert geometry._areas(x) == (
+        assert geometry._areas(x) == _paper_areas(x) == (
             area_triangle(x), area_circular_triangle(x), area_circular_trapezoid(x)
         )
 
