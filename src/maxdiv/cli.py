@@ -38,6 +38,11 @@ CLT_HEADER = (
 )
 ORACLE_HEADER = ("n", "seed", "geometric", "formula", "result")
 
+#: Most grid points ``fairness`` tabulates.  The table takes about 3.8 s
+#: per 10^6 rows on two CPUs of a 2-vCPU x86-64 VM and 6.8 s on one, so
+#: the bound keeps a run near a minute.
+MAX_GRID = 10**7
+
 #: Table rows per output chunk.  Each chunk is formatted by one
 #: %-template and written at once, so memory stays flat at any --grid.
 CHUNK_ROWS = 2048
@@ -310,7 +315,7 @@ def _summary_lines(summary: dict, precision: int) -> list[str]:
 
 
 @cli.command("fairness")
-@click.option("--grid", type=click.IntRange(2), default=1000, show_default=True,
+@click.option("--grid", type=click.IntRange(2, MAX_GRID), default=1000, show_default=True,
               help="Number of uniformly spaced arc lengths to tabulate.")
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               help="Optimizer tolerance on the arc length.")
@@ -408,7 +413,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
         terms = clt_mod.rinott_terms(n, p)
         check = clt_mod.threshold_check(n, p)
         draws = clt_mod.sample_region_counts(n, p, samples, seed)
-        normality = clt_mod.ks_distance(draws, n, p, seed=seed)
+        normality = clt_mod.ks_distance(draws, n, p)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     row = (

@@ -77,10 +77,7 @@ class ThresholdCheck(NamedTuple):
 class NormalitySample:
     """Result of one empirical normality experiment."""
 
-    n: int
-    p: float
     sample_count: int
-    seed: int | None
     ks_distance: float
     mean: float
     sigma: float
@@ -228,7 +225,7 @@ def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
     return 1 + x + x * (x - 1) // 2
 
 
-def ks_distance(samples, n: int, p: float, seed: int | None = None) -> NormalitySample:
+def ks_distance(samples, n: int, p: float) -> NormalitySample:
     """Kolmogorov-Smirnov distance of exactly standardized samples to normal.
 
     Standardization uses the exact mean and standard deviation of the
@@ -240,7 +237,6 @@ def ks_distance(samples, n: int, p: float, seed: int | None = None) -> Normality
     Args:
         samples: region counts, as from ``sample_region_counts``.
         n, p: the model that produced them.
-        seed: recorded for provenance only; samples carry no seed.
     """
     import numpy as np
 
@@ -256,10 +252,7 @@ def ks_distance(samples, n: int, p: float, seed: int | None = None) -> Normality
     upper = float(np.max(cumulative / m - phi))
     lower = float(np.max(phi - (cumulative - counts) / m))
     return NormalitySample(
-        n=n,
-        p=p,
         sample_count=m,
-        seed=seed,
         ks_distance=max(upper, lower),
         mean=mean,
         sigma=sigma,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from maxdiv.geometry import ARC_MAX, AreaProfile, _areas, _check_arc
+from maxdiv.geometry import ARC_MAX, _areas, _check_arc
 
 #: Fair share of the unit disk for each of the seven pieces.
 MEAN_AREA = math.pi / 7
@@ -58,10 +58,6 @@ class FairnessReport(NamedTuple):
     sd: float
     mad: float
     min_piece: float
-
-    @property
-    def profile(self) -> AreaProfile:
-        return AreaProfile(self.alpha1, self.alpha2, self.alpha3)
 
 
 @dataclass(frozen=True)
@@ -112,16 +108,6 @@ def _mad(triangle: float, circular_triangle: float, circular_trapezoid: float) -
         + 3.0 * abs(circular_triangle - MEAN_AREA)
         + 3.0 * abs(circular_trapezoid - MEAN_AREA)
     ) / 7.0
-
-
-def profile_sd(profile: AreaProfile) -> float:
-    """Population standard deviation of the seven areas of a profile."""
-    return _sd(profile.triangle, profile.circular_triangle, profile.circular_trapezoid)
-
-
-def profile_mad(profile: AreaProfile) -> float:
-    """Mean absolute deviation of the seven areas from the fair share."""
-    return _mad(profile.triangle, profile.circular_triangle, profile.circular_trapezoid)
 
 
 def sd(x: float) -> float:

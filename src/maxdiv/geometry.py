@@ -92,25 +92,6 @@ class AreaProfile:
     circular_triangle: float
     circular_trapezoid: float
 
-    def total(self) -> float:
-        """Sum over all seven pieces; equals pi for any valid profile."""
-        return (
-            self.triangle
-            + 3.0 * self.circular_triangle
-            + 3.0 * self.circular_trapezoid
-        )
-
-    def areas(self) -> tuple[float, ...]:
-        """The seven piece areas with multiplicity."""
-        return (
-            (self.triangle,)
-            + (self.circular_triangle,) * 3
-            + (self.circular_trapezoid,) * 3
-        )
-
-    def smallest(self) -> float:
-        return min(self.triangle, self.circular_triangle, self.circular_trapezoid)
-
 
 def _areas(x: float) -> tuple[float, float, float]:
     """(triangle, circular_triangle, circular_trapezoid) at arc length x.

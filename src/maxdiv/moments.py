@@ -57,30 +57,13 @@ class RegionMoments:
 
     second_moment is None when the route does not define one (the
     asymptotic route only approximates the variance).  method is one of
-    "exact_enumeration", "closed_form", "asymptotic", "monte_carlo".
+    "exact_enumeration", "closed_form", "asymptotic".
     """
 
     mean: float
     variance: float
     second_moment: float | None
     method: str
-    d: int
-
-    @classmethod
-    def from_samples(cls, samples, d: int) -> "RegionMoments":
-        values = list(samples)
-        m = len(values)
-        if m < 2:
-            raise ValueError("need at least two samples")
-        mean = math.fsum(values) / m
-        second = math.fsum(v * v for v in values) / m
-        return cls(
-            mean=mean,
-            variance=second - mean * mean,
-            second_moment=second,
-            method="monte_carlo",
-            d=d,
-        )
 
 
 def expected_regions(model: CutModel) -> float:
@@ -243,7 +226,6 @@ def moments_exact(model: CutModel, max_n: int = ENUMERATION_BOUND) -> RegionMome
         variance=variance,
         second_moment=second,
         method="exact_enumeration",
-        d=model.d,
     )
 
 
@@ -257,7 +239,6 @@ def moments_closed_form(model: CutModel) -> RegionMoments:
         variance=variance,
         second_moment=second,
         method="closed_form",
-        d=model.d,
     )
 
 
@@ -268,7 +249,6 @@ def moments_asymptotic(model: CutModel) -> RegionMoments:
         variance=variance_asymptotic(model),
         second_moment=None,
         method="asymptotic",
-        d=model.d,
     )
 
 

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from maxdiv import MAX_SAMPLES
 from maxdiv import cli as cli_module
 from maxdiv import moments as moments_module
-from maxdiv.cli import CHUNK_ROWS, cli
+from maxdiv.cli import CHUNK_ROWS, MAX_GRID, cli
 from maxdiv.clt import MAX_CUTS
 from maxdiv.fairness import FairnessReport, scan
 from maxdiv.moments import RegionMoments
@@ -84,6 +85,32 @@ def test_fairness_fine_output_digest():
     assert hashlib.sha256(proc.stderr).hexdigest() == (
         "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
     )
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _readme_commands() -> dict:
+    """README_COMMANDS of perfbench/run.py, read from its source."""
+    with open(os.path.join(PERFBENCH, "run.py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["README_COMMANDS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py defines no README_COMMANDS")
+
+
+@pytest.mark.parametrize("name, argv", sorted(_readme_commands().items()))
+def test_readme_commands_match_the_recorded_references(name, argv):
+    """The README commands print exactly perfbench/refs/NAME.out and .err."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", *argv], capture_output=True, timeout=60,
+    )
+    with open(os.path.join(PERFBENCH, "refs", f"{name}.out"), "rb") as out:
+        assert proc.stdout == out.read()
+    with open(os.path.join(PERFBENCH, "refs", f"{name}.err"), "rb") as err:
+        assert proc.stderr == err.read()
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("grid", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
@@ -462,6 +489,13 @@ def test_clt_samples_limit():
     assert str(MAX_SAMPLES) in res.stderr
 
 
+def test_fairness_grid_limit():
+    res = invoke("fairness", "--grid", str(MAX_GRID + 1))
+    assert _single_error_line(res)
+    assert str(MAX_GRID) in res.stderr
+    assert res.stdout == ""
+
+
 def test_clt_rejects_underflowing_sigma():
     res = invoke("clt", "--n", "2", "--p", "1e-300", "--samples", "10")
     assert _single_error_line(res)
@@ -515,7 +549,7 @@ def test_moments_refuses_non_finite_moments(method, argv, fmt):
 @pytest.mark.parametrize("field", ["mean", "variance", "second_moment"])
 def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field):
     values = {"mean": 1.0, "variance": 1.0, "second_moment": 2.0, field: math.nan}
-    monkeypatch.setattr(moments_module, route, lambda model: RegionMoments(**values, method=route, d=model.d))
+    monkeypatch.setattr(moments_module, route, lambda model: RegionMoments(**values, method=route))
     method = {"moments_exact": "exact", "moments_closed_form": "closed"}.get(route, "asymptotic")
     res = invoke("moments", "--n", "5", "--p", "0.5", "--method", method)
     assert _single_error_line(res)

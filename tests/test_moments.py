@@ -10,7 +10,6 @@ from maxdiv.moments import (
     CutModel,
     _region_counts,
     EnumerationBoundError,
-    RegionMoments,
     UnsupportedDimensionError,
     chebyshev_tail,
     concentration_window,
@@ -298,15 +297,6 @@ def test_moments_asymptotic_bundle():
     assert bundle.second_moment is None
     assert bundle.mean == expected_regions(model)
     assert bundle.variance == variance_asymptotic(model)
-
-
-def test_region_moments_from_samples():
-    bundle = RegionMoments.from_samples([4, 4, 7, 7], d=2)
-    assert bundle.method == "monte_carlo"
-    assert bundle.mean == 5.5
-    assert bundle.variance == pytest.approx(2.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        RegionMoments.from_samples([1], d=2)
 
 
 def test_variance_never_negative():
