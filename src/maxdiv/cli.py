@@ -412,8 +412,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     try:
         terms = clt_mod.rinott_terms(n, p)
         check = clt_mod.threshold_check(n, p)
-        draws = clt_mod.sample_region_counts(n, p, samples, seed)
-        normality = clt_mod.ks_distance(draws, n, p)
+        normality = clt_mod.sample_normality(n, p, samples, seed)
     except ValueError as exc:
         raise click.ClickException(str(exc))
     row = (

@@ -16,8 +16,9 @@ normal CDF.  Inversion runs over a window of O(sqrt(n)) outcomes around
 the mean, sized by Hoeffding's inequality so that every outcome left
 out has probability below 2^-1100, under the smallest positive float64
 (2^-1074).  The windowed CDF is therefore the full CDF as float64 holds
-it, and sampling m values costs O(sqrt(n) + m) time and memory instead
-of O(n + m).
+it.  The uniforms are drawn in chunks of CHUNK_DRAWS, and the KS run
+keeps only how often each window outcome was drawn, so it costs
+O(sqrt(n) + m) time and O(sqrt(n)) memory for m samples.
 
 numpy is imported on first use, so importing this module, and with it
 the command line, does not load numpy.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES
 from maxdiv.moments import CutModel, expected_regions, variance_closed_form
@@ -38,6 +39,10 @@ if TYPE_CHECKING:
 # Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
 # 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
 _WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
+
+#: Uniforms drawn and inverted at a time; bounds the sampler's working
+#: memory at a few MiB whatever the sample count.
+CHUNK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,14 +82,19 @@ class ThresholdCheck(NamedTuple):
 class NormalitySample:
     """Result of one empirical normality experiment."""
 
-    sample_count: int
     ks_distance: float
     mean: float
     sigma: float
 
 
+def _require_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p!r} is not a number in [0, 1]")
+
+
 def _require_nondegenerate(p: float) -> None:
-    if not 0.0 < p < 1.0:
+    _require_probability(p)
+    if p == 0.0 or p == 1.0:
         raise ValueError(f"probability {p!r} is degenerate (sigma = 0 at p = 0 or 1)")
 
 
@@ -169,8 +179,41 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     return lo, cdf / cdf[-1]
 
 
-def _invert(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """np.searchsorted(cdf, uniforms, side="left"), through a guide table.
+def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterator[np.ndarray]]:
+    """(lo, size, chunks): draw i of n cuts kept with probability p is
+    lo + index i of the concatenated chunks, an index into the size
+    outcomes lo..lo + size - 1 of the window.
+
+    Uniform number i of a counter-based stream keyed by the seed is
+    inverted through the windowed CDF; at p = 0 or 1 the window is the
+    one outcome 0 or n.  The chunks hold at most CHUNK_DRAWS indices,
+    and the arguments are checked before anything is built.
+    """
+    if n < 1:
+        raise ValueError(f"cut count must be positive, got {n}")
+    if n > MAX_CUTS:
+        raise ValueError(
+            f"cut count {n} exceeds {MAX_CUTS}, the largest whose region counts fit in int64"
+        )
+    if not 1 <= m <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
+    _require_probability(p)
+    import numpy as np
+
+    if p == 0.0 or p == 1.0:
+        lo, cdf = (n if p == 1.0 else 0), np.ones(1)
+    else:
+        lo, cdf = _binomial_cdf(n, p)
+    invert = _inverter(cdf, m)
+    stream = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
+    chunks = (invert(stream.random(min(CHUNK_DRAWS, m - start)))
+              for start in range(0, m, CHUNK_DRAWS))
+    return lo, cdf.size, chunks
+
+
+def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """u -> np.searchsorted(cdf, u, side="left"), through a guide table
+    sized for m uniforms in all.
 
     The guide table (Chen and Asau, 1974) holds the answer for each
     bucket edge j / g.  With g a power of two, u * g and j / g are exact,
@@ -180,13 +223,18 @@ def _invert(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """
     import numpy as np
 
-    g = 1 << min(cdf.size, uniforms.size).bit_length()
+    g = 1 << min(cdf.size, m).bit_length()
     guide = np.searchsorted(cdf, np.arange(g + 1) / g, side="left")
-    bucket = (uniforms * g).astype(np.intp)
-    index = guide[bucket]
-    hard = np.flatnonzero((guide[1:] != guide[:-1])[bucket])
-    index[hard] = np.searchsorted(cdf, uniforms[hard], side="left")
-    return index
+    steps = guide[1:] != guide[:-1]
+
+    def invert(uniforms: np.ndarray) -> np.ndarray:
+        bucket = (uniforms * g).astype(np.intp)
+        index = guide[bucket]
+        hard = np.flatnonzero(steps[bucket])
+        index[hard] = np.searchsorted(cdf, uniforms[hard], side="left")
+        return index
+
+    return invert
 
 
 def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
@@ -201,28 +249,44 @@ def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
     The inverse CDF covers only the O(sqrt(n)) outcomes within
     Hoeffding's window around np; the outcomes left out each have
     probability below 2^-1100, so the draws are those of the full
-    float64 CDF.  n is capped at MAX_CUTS, beyond which region counts
-    overflow int64, and m at MAX_SAMPLES, which bounds the memory.
+    float64 CDF.  The result takes O(m) memory, on top of the O(sqrt(n))
+    the window needs; ``sample_normality`` needs only the latter.  n is
+    capped at MAX_CUTS, beyond which region counts overflow int64, and
+    m at MAX_SAMPLES, which bounds the time.
     """
-    if n < 1:
-        raise ValueError(f"cut count must be positive, got {n}")
-    if n > MAX_CUTS:
-        raise ValueError(
-            f"cut count {n} exceeds {MAX_CUTS}, the largest whose region counts fit in int64"
-        )
-    if not 1 <= m <= MAX_SAMPLES:
-        raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
+    lo, _, chunks = _window_draws(n, p, m, seed)
     import numpy as np
 
-    if p == 0.0 or p == 1.0:
-        x = np.full(m, n if p == 1.0 else 0, dtype=np.int64)
-    else:
-        stream = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
-        lo, cdf = _binomial_cdf(n, p)
-        x = lo + _invert(cdf, stream.random(m))
+    x = np.empty(m, dtype=np.int64)
+    start = 0
+    for index in chunks:
+        x[start:start + index.size] = lo + index
+        start += index.size
     return 1 + x + x * (x - 1) // 2
+
+
+def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
+    """``ks_distance(sample_region_counts(n, p, m, seed), n, p)``, bit for
+    bit, in O(sqrt(n)) memory.
+
+    Each chunk of draws is added to a histogram over the window, and the
+    region count is computed only for the outcomes that were drawn.
+    Since the region count increases with the outcome, the histogram is
+    already in sorted order.
+    """
+    lo, size, chunks = _window_draws(n, p, m, seed)
+    sigma = _exact_sigma(n, p)
+    import numpy as np
+
+    counts = np.zeros(size, dtype=np.int64)
+    for index in chunks:
+        # counts over the chunk's own range, a small part of the window
+        low = int(index.min())
+        part = np.bincount(index - low)
+        counts[low:low + part.size] += part
+    x = lo + np.flatnonzero(counts)
+    values = (1 + x + x * (x - 1) // 2).astype(np.float64)
+    return _ks(values, counts[counts > 0], n, p, sigma)
 
 
 def ks_distance(samples, n: int, p: float) -> NormalitySample:
@@ -242,6 +306,14 @@ def ks_distance(samples, n: int, p: float) -> NormalitySample:
 
     sigma = _exact_sigma(n, p)
     values, counts = np.unique(np.asarray(samples, dtype=np.float64), return_counts=True)
+    return _ks(values, counts, n, p, sigma)
+
+
+def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) -> NormalitySample:
+    """KS distance of the sample holding counts[k] copies of values[k],
+    for increasing values."""
+    import numpy as np
+
     if values.size == 0:
         raise ValueError("need at least one sample")
     mean = expected_regions(CutModel(n, p, 2))
@@ -252,7 +324,6 @@ def ks_distance(samples, n: int, p: float) -> NormalitySample:
     upper = float(np.max(cumulative / m - phi))
     lower = float(np.max(phi - (cumulative - counts) / m))
     return NormalitySample(
-        sample_count=m,
         ks_distance=max(upper, lower),
         mean=mean,
         sigma=sigma,

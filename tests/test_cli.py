@@ -463,9 +463,72 @@ def test_clt_byte_identical_runs():
 
 
 def test_clt_rejects_degenerate_p():
-    res = invoke("clt", "--n", "100", "--p", "1.0", "--samples", "10")
-    assert res.exit_code != 0
-    assert "degenerate" in res.stderr
+    for p in ("1.0", "0"):
+        res = invoke("clt", "--n", "100", "--p", p, "--samples", "10")
+        assert res.exit_code != 0
+        assert "degenerate" in res.stderr
+
+
+@pytest.mark.parametrize("p", ["nan", "inf", "-inf", "1.5", "-0.2"])
+def test_clt_names_a_probability_outside_the_unit_interval(p):
+    res = invoke("clt", "--n", "100", "--p", p, "--samples", "10")
+    assert _single_error_line(res)
+    assert "not a number in [0, 1]" in res.stderr
+    assert "degenerate" not in res.stderr
+
+
+def test_clt_wide_output_digest():
+    """The clt-wide command's output, recorded from the sampler that kept
+    and sorted every draw."""
+    res = invoke("clt", "--n", "10000000", "--p", "0.5", "--samples", "1000000", "--seed", "7",
+                 "--format", "json")
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == (
+        "ed98316b94f12b405593c316eaa9f2ff2b8f29d74cd7bd697796922787bb83a5"
+    )
+
+
+def _traced_clt_peak(samples) -> int:
+    tracemalloc.start()
+    try:
+        cli.main(["clt", "--n", "10000000", "--p", "0.5", "--samples", str(samples),
+                  "--out", os.devnull], standalone_mode=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_clt_memory_does_not_grow_with_samples():
+    # loads numpy outside the trace
+    cli.main(["clt", "--n", "100", "--p", "0.5", "--samples", "10", "--out", os.devnull],
+             standalone_mode=False)
+    small = _traced_clt_peak(2**16)
+    large = _traced_clt_peak(2**22)
+    assert abs(large - small) < 2**20, (small, large)
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            return any(line.startswith("VmHWM:") for line in handle)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_clt_peak_rss_at_the_sample_limit():
+    """The child's own high-water RSS, read by the child at exit."""
+    code = (
+        "import os, sys\n"
+        "from maxdiv.cli import cli\n"
+        "cli.main(['clt', '--n', '10000000', '--p', '0.5', '--samples', sys.argv[1],\n"
+        "          '--seed', '1', '--out', os.devnull], standalone_mode=False)\n"
+        "with open('/proc/self/status') as handle:\n"
+        "    print(next(line.split()[1] for line in handle if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(MAX_SAMPLES)], capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert int(proc.stdout) < 100 * 1024  # kB
 
 
 def _single_error_line(res) -> bool:

@@ -10,14 +10,16 @@ import pytest
 
 from maxdiv import MAX_SAMPLES
 from maxdiv.clt import (
+    CHUNK_DRAWS,
     MAX_CUTS,
     NormalitySample,
     RinottTerms,
     _binomial_cdf,
     _binomial_window,
-    _invert,
+    _inverter,
     ks_distance,
     rinott_terms,
+    sample_normality,
     sample_region_counts,
     threshold_check,
 )
@@ -118,6 +120,21 @@ def test_threshold_monotone_in_n():
 def test_threshold_rejects_degenerate():
     with pytest.raises(ValueError):
         threshold_check(100, 1.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, 1.5, -0.2])
+def test_probability_outside_the_unit_interval_is_not_called_degenerate(p):
+    for check in (threshold_check, rinott_terms):
+        with pytest.raises(ValueError, match=r"not a number in \[0, 1\]"):
+            check(10, p)
+    with pytest.raises(ValueError, match=r"not a number in \[0, 1\]"):
+        ks_distance([4, 7], 10, p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_degenerate_probability_is_called_degenerate(p):
+    with pytest.raises(ValueError, match="degenerate"):
+        threshold_check(10, p)
 
 
 def test_samples_degenerate_probabilities():
@@ -246,7 +263,56 @@ def test_guided_inversion_equals_binary_search():
     edges = np.unique(edges[edges < 1.0])
     rng = np.random.Generator(np.random.Philox(key=5))
     for uniforms in (rng.random(1), rng.random(7), rng.random(5000), edges):
-        assert np.array_equal(_invert(cdf, uniforms), np.searchsorted(cdf, uniforms, side="left"))
+        # a guide sized for this batch, and guides sized for more or fewer draws
+        for m in (uniforms.size, 1, 3, 10**6):
+            assert np.array_equal(
+                _inverter(cdf, m)(uniforms), np.searchsorted(cdf, uniforms, side="left")
+            )
+
+
+@pytest.mark.parametrize("m", [CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1, 3 * CHUNK_DRAWS + 5])
+def test_streamed_draws_equal_one_shot_draws(m):
+    """Chunked draws are the draws of one stream.random(m) call, inverted
+    by binary search over the same windowed CDF."""
+    n, p, seed = 10**4, 0.3, 17 + m
+    lo, cdf = _binomial_cdf(n, p)
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(m)
+    x = lo + np.searchsorted(cdf, uniforms, side="left")
+    assert np.array_equal(sample_region_counts(n, p, m, seed), 1 + x + x * (x - 1) // 2)
+
+
+@pytest.mark.parametrize("n, p, m, seed", [
+    (2, 0.5, 3 * CHUNK_DRAWS + 5, 1),
+    (2, 1e-6, CHUNK_DRAWS + 1, 2),
+    (3, 1 - 1e-6, 1000, 3),
+    (10, 0.5, 1, 4),
+    (10**4, 0.5, 2 * CHUNK_DRAWS, 5),
+    # windows clipped at 0 and at n
+    (10**6, 1e-4, CHUNK_DRAWS - 1, 6),
+    (10**6, 1 - 1e-4, CHUNK_DRAWS, 7),
+    (10**7, 0.5, 5 * CHUNK_DRAWS + 3, 8),
+    (MAX_CUTS, 0.9, 3000, 9),
+])
+def test_histogram_ks_equals_ks_of_the_samples(n, p, m, seed):
+    expected = ks_distance(sample_region_counts(n, p, m, seed), n, p)
+    result = sample_normality(n, p, m, seed)
+    assert (result.ks_distance.hex(), result.mean.hex(), result.sigma.hex()) == (
+        expected.ks_distance.hex(), expected.mean.hex(), expected.sigma.hex()
+    )
+
+
+def test_histogram_cases_include_clipped_windows():
+    assert _binomial_window(2, 0.5) == (0, 2)
+    assert _binomial_window(10**6, 1e-4)[0] == 0
+    assert _binomial_window(10**6, 1 - 1e-4)[1] == 10**6
+
+
+def test_histogram_ks_validates_like_the_sampler():
+    for args, message in (((0, 0.5, 10, 1), "positive"), ((MAX_CUTS + 1, 0.5, 10, 1), "int64"),
+                          ((10, 0.5, 0, 1), str(MAX_SAMPLES)), ((10, 1.5, 10, 1), r"\[0, 1\]"),
+                          ((10, 1.0, 10, 1), "degenerate")):
+        with pytest.raises(ValueError, match=message):
+            sample_normality(*args)
 
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 1000)])
@@ -271,7 +337,6 @@ def test_ks_standardization_is_exact():
     model = CutModel(3, 0.5, 2)
     assert result.mean == expected_regions(model)
     assert result.sigma == math.sqrt(variance_closed_form(model))
-    assert result.sample_count == 4
 
 
 def test_ks_degenerate_samples_far_from_normal():
