@@ -1,22 +1,18 @@
 """Maximal division of a disk: piece areas, fairness optima, and the
 moments and normal limit of the random region count.
 
-The names in ``__all__`` come from ``maxdiv.geometry``, which is
-imported on first access, so that a command needing only part of the
-package loads only that part.
+The names in ``__all__``, chord arrangements and the region-count
+maximum, come from ``maxdiv.geometry``, which is imported on first
+access, so that a command needing only part of the package loads only
+that part.
 """
 
 import math
 
 __all__ = [
     "ARC_MAX",
-    "AreaProfile",
     "Chord",
     "ChordSet",
-    "area_circular_trapezoid",
-    "area_circular_triangle",
-    "area_profile",
-    "area_triangle",
     "count_regions_geometric",
     "max_regions",
     "random_chord_set",

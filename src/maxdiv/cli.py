@@ -2,7 +2,7 @@
 
 Four subcommands cover the analyses end to end:
 
-* ``fairness``  scan of the fairness measures plus all optima,
+* ``fairness``  table of the fairness measures plus all optima,
 * ``moments``   mean/variance of the region count by a chosen route,
 * ``clt``       Rinott terms, threshold margin, and an empirical KS run,
 * ``oracle``    geometric region counts checked against the formula.
@@ -28,6 +28,7 @@ import click
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES
 
+FAIRNESS_HEADER = ("x", "alpha1", "alpha2", "alpha3", "sd", "mad", "min_piece")
 MOMENTS_HEADER = (
     "n", "p", "dim", "method", "mean", "variance", "second_moment",
     "window_center", "window_scale",
@@ -284,16 +285,16 @@ def cli() -> None:
 
 
 def _optimum_entry(opt, precision: int) -> dict:
-    from maxdiv.geometry import area_profile
+    from maxdiv.geometry import _areas
 
-    profile = area_profile(opt.x_star)
+    alpha1, alpha2, alpha3 = _areas(opt.x_star)
     return {
         "x_star": round(opt.x_star, precision),
         "objective": round(opt.objective_value, precision),
         "at_boundary": opt.at_boundary,
-        "alpha1": round(profile.triangle, precision),
-        "alpha2": round(profile.circular_triangle, precision),
-        "alpha3": round(profile.circular_trapezoid, precision),
+        "alpha1": round(alpha1, precision),
+        "alpha2": round(alpha2, precision),
+        "alpha3": round(alpha3, precision),
     }
 
 
@@ -343,8 +344,7 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
         "maximin": _optimum_entry(maximin, precision),
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
-    # fairness_mod._rows, not scan: a list of reports would hold the table
-    _write(_render(fairness_mod.FairnessReport._fields, grid,
+    _write(_render(FAIRNESS_HEADER, grid,
                    lambda start, stop: fairness_mod._rows(grid, start, stop), params, [],
                    fmt, precision, summary=summary if fmt == "json" else None), out)
     if fmt == "csv":

@@ -53,19 +53,15 @@ class RinottTerms:
         term1: N * D^2 * B^3 / sigma^3.
         term2: sqrt(N * D^3 * B^4) / sigma^2.
         term3: D * B / sigma.
-        n_summands: N = n^2 + 1.
-        max_degree: D = 4n, the dependency-graph degree bound.
-        summand_bound: B = 1.
-        sigma: exact standard deviation of the region count.
+
+    N = n^2 + 1 summands, D = 4n bounds the dependency-graph degree,
+    B = 1 bounds each summand, and sigma is the exact standard deviation
+    of the region count.
     """
 
     term1: float
     term2: float
     term3: float
-    n_summands: int
-    max_degree: int
-    summand_bound: float
-    sigma: float
 
     @property
     def max_term(self) -> float:
@@ -119,17 +115,11 @@ def rinott_terms(n: int, p: float) -> RinottTerms:
     if n < 2:
         raise ValueError(f"need at least two cuts, got {n}")
     sigma = _exact_sigma(n, p)
-    n_summands = n * n + 1
-    max_degree = 4 * n
-    bound = 1.0
+    summands, degree, bound = n * n + 1, 4 * n, 1.0
     return RinottTerms(
-        term1=n_summands * max_degree**2 * bound**3 / sigma**3,
-        term2=math.sqrt(n_summands * max_degree**3 * bound**4) / sigma**2,
-        term3=max_degree * bound / sigma,
-        n_summands=n_summands,
-        max_degree=max_degree,
-        summand_bound=bound,
-        sigma=sigma,
+        term1=summands * degree**2 * bound**3 / sigma**3,
+        term2=math.sqrt(summands * degree**3 * bound**4) / sigma**2,
+        term3=degree * bound / sigma,
     )
 
 
@@ -237,42 +227,17 @@ def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
     return invert
 
 
-def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
-    """Draw m region counts for n cuts kept with probability p.
-
-    Sample i is a pure function of (n, p, seed, i): uniform number i of
-    a counter-based stream keyed by the seed feeds an inverse-CDF
-    binomial draw, which then maps through the d = 2 region count.  Any
-    partition of the index range therefore reproduces the same values,
-    which is what makes parallel execution harmless.
-
-    The inverse CDF covers only the O(sqrt(n)) outcomes within
-    Hoeffding's window around np; the outcomes left out each have
-    probability below 2^-1100, so the draws are those of the full
-    float64 CDF.  The result takes O(m) memory, on top of the O(sqrt(n))
-    the window needs; ``sample_normality`` needs only the latter.  n is
-    capped at MAX_CUTS, beyond which region counts overflow int64, and
-    m at MAX_SAMPLES, which bounds the time.
-    """
-    lo, _, chunks = _window_draws(n, p, m, seed)
-    import numpy as np
-
-    x = np.empty(m, dtype=np.int64)
-    start = 0
-    for index in chunks:
-        x[start:start + index.size] = lo + index
-        start += index.size
-    return 1 + x + x * (x - 1) // 2
-
-
 def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
-    """``ks_distance(sample_region_counts(n, p, m, seed), n, p)``, bit for
-    bit, in O(sqrt(n)) memory.
+    """KS distance to the standard normal of m region counts for n cuts
+    kept with probability p, in O(sqrt(n)) memory.
 
-    Each chunk of draws is added to a histogram over the window, and the
-    region count is computed only for the outcomes that were drawn.
-    Since the region count increases with the outcome, the histogram is
-    already in sorted order.
+    Draw i is a pure function of (n, p, seed, i): uniform number i of a
+    counter-based stream keyed by the seed, inverted through the
+    binomial CDF.  Standardization uses the exact mean and standard
+    deviation, never sample estimates.  The draws go into a histogram
+    over the window, chunk by chunk, and the region count is computed
+    only for the outcomes drawn; it increases with the outcome, so the
+    histogram is already sorted.
     """
     lo, size, chunks = _window_draws(n, p, m, seed)
     sigma = _exact_sigma(n, p)
@@ -289,29 +254,10 @@ def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     return _ks(values, counts[counts > 0], n, p, sigma)
 
 
-def ks_distance(samples, n: int, p: float) -> NormalitySample:
-    """Kolmogorov-Smirnov distance of exactly standardized samples to normal.
-
-    Standardization uses the exact mean and standard deviation of the
-    region count, never sample estimates.  The sup is taken over both
-    one-sided gaps at every jump of the empirical CDF, which is exact
-    for step functions; the normal CDF is evaluated once per distinct
-    sample value.
-
-    Args:
-        samples: region counts, as from ``sample_region_counts``.
-        n, p: the model that produced them.
-    """
-    import numpy as np
-
-    sigma = _exact_sigma(n, p)
-    values, counts = np.unique(np.asarray(samples, dtype=np.float64), return_counts=True)
-    return _ks(values, counts, n, p, sigma)
-
-
 def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) -> NormalitySample:
     """KS distance of the sample holding counts[k] copies of values[k],
-    for increasing values."""
+    for increasing values: the larger one-sided gap at each jump of the
+    empirical CDF, exact for a step function."""
     import numpy as np
 
     if values.size == 0:

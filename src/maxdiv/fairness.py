@@ -13,6 +13,9 @@ recipe: bracket candidate minima on a uniform coarse grid, refine each
 bracket by golden-section search, then rank.  The measures are piecewise
 smooth with kinks (the interesting optima sit exactly on kinks), which
 golden-section search handles as long as the bracket is unimodal.
+
+The table the CLI prints holds, per grid point, the three class areas
+and the three measures; ``_rows`` computes any range of its rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
 
 from maxdiv.geometry import ARC_MAX, _areas, _check_arc
 
@@ -44,33 +46,16 @@ class ConsistencyError(RuntimeError):
     """Two independent routes to the same optimum disagreed."""
 
 
-class FairnessReport(NamedTuple):
-    """All fairness measures at one arc length, in CSV column order.
-
-    alpha1, alpha2 and alpha3 are the areas of the central triangle, of
-    each circular triangle and of each circular trapezoid.
-    """
-
-    x: float
-    alpha1: float
-    alpha2: float
-    alpha3: float
-    sd: float
-    mad: float
-    min_piece: float
-
-
 @dataclass(frozen=True)
 class Optimum:
     """A located extremum of a fairness measure.
 
-    kind is "global_min", "local_min" or "global_max"; at_boundary is
-    true iff x_star lies within tolerance of an end of [0, pi/3].
+    at_boundary is true iff x_star lies within tolerance of an end of
+    [0, pi/3].
     """
 
     x_star: float
     objective_value: float
-    kind: str
     at_boundary: bool
 
 
@@ -217,7 +202,7 @@ def _locate_minima(f, tol: float) -> list[Optimum]:
             x_star, at_boundary = 0.0, True
         elif hi == xs[-1] and ARC_MAX - x_star <= snap:
             x_star, at_boundary = ARC_MAX, True
-        candidate = Optimum(x_star, f(x_star), "local_min", at_boundary)
+        candidate = Optimum(x_star, f(x_star), at_boundary)
         # grid plateaus can bracket the same minimum twice
         if not any(abs(prev.x_star - candidate.x_star) < 1e-6 for prev in found):
             found.append(candidate)
@@ -233,8 +218,7 @@ def minimize_sd(tol: float = 1e-10) -> Optimum:
     sits on the boundary at x = pi/3, where the central triangle
     vanishes and six pieces share everything.
     """
-    best = _locate_minima(sd, tol)[0]
-    return Optimum(best.x_star, best.objective_value, "global_min", best.at_boundary)
+    return _locate_minima(sd, tol)[0]
 
 
 def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, list[Optimum]]:
@@ -243,15 +227,13 @@ def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, list[Optimum]]:
     Returns (global_minimum, other_minima).  Both interesting minima sit
     on kinks where some piece crosses the fair share exactly.
     """
-    ranked = _locate_minima(mad, tol)
-    best = ranked[0]
-    out = Optimum(best.x_star, best.objective_value, "global_min", best.at_boundary)
+    best, *others = _locate_minima(mad, tol)
     locals_ = [
         opt
-        for opt in ranked[1:]
-        if opt.objective_value > out.objective_value + VALUE_TIE_TOL
+        for opt in others
+        if opt.objective_value > best.objective_value + VALUE_TIE_TOL
     ]
-    return out, locals_
+    return best, locals_
 
 
 def maximize_min_piece(tol: float = 1e-10) -> Optimum:
@@ -268,8 +250,7 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
             f"tolerance must be positive and finite and tol/4 must not underflow"
             f" to 0.0, got {tol!r}"
         )
-    ranked = _locate_minima(lambda x: -min_piece(x), tol / 2)
-    best = ranked[0]
+    best = _locate_minima(lambda x: -min_piece(x), tol / 2)[0]
 
     crossing = _bisect_triangle_crossing(tol / 4)
     if abs(best.x_star - crossing) > tol:
@@ -277,7 +258,7 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
             f"search maximum {best.x_star!r} disagrees with the "
             f"triangle-area crossing {crossing!r}"
         )
-    return Optimum(best.x_star, -best.objective_value, "global_max", best.at_boundary)
+    return Optimum(best.x_star, -best.objective_value, best.at_boundary)
 
 
 def _bisect_triangle_crossing(tol: float) -> float:
@@ -304,33 +285,20 @@ def _bisect_triangle_crossing(tol: float) -> float:
 
 
 def _measures(x: float) -> tuple[float, ...]:
-    """The fields of ``report(x)`` as a plain tuple."""
+    """One table row at arc length x: x, the areas alpha1, alpha2 and
+    alpha3 of the central triangle, of each circular triangle and of
+    each circular trapezoid, then sd, mad and min_piece."""
     a1, a2, a3 = _areas(x)
     return x, a1, a2, a3, _sd(a1, a2, a3), _mad(a1, a2, a3), min(a1, a2, a3)
 
 
-def report(x: float) -> FairnessReport:
-    """All fairness measures at one arc length."""
-    return FairnessReport._make(_measures(x))
-
-
 def _rows(grid_points: int, start: int = 0, stop: int | None = None):
-    """Rows start..stop-1 (all by default) of ``scan`` as plain tuples,
-    computed one at a time.
+    """Rows start..stop-1 (all by default) of the table of ``_measures``
+    at grid_points arc lengths evenly spaced over [0, pi/3], one at a time.
 
     Only the requested rows are computed, so the CLI can stream the
-    table and hand disjoint row ranges to separate processes.  The
+    table and hand disjoint row ranges to separate processes; rows are
+    independent, so the output does not depend on that schedule.  The
     caller checks that grid_points is at least 2.
     """
     return map(_measures, _grid(grid_points, start, stop))
-
-
-def scan(grid_points: int) -> list[FairnessReport]:
-    """Fairness measures at uniformly spaced arc lengths covering [0, pi/3].
-
-    Rows are independent of each other, so the output is the same no
-    matter how the evaluation is scheduled.
-    """
-    if grid_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {grid_points}")
-    return list(map(FairnessReport._make, _rows(grid_points)))

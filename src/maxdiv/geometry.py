@@ -49,55 +49,16 @@ def _check_arc(x: float) -> None:
         raise ValueError(f"arc length {x!r} outside [0, pi/3]")
 
 
-def area_triangle(x: float) -> float:
-    """Area of the central equilateral triangle: 3*sqrt(3)*sin^2(pi/6 - x/2).
-
-    Shrinks monotonically from 3*sqrt(3)/4 at x = 0 to a point at
-    x = pi/3, where the three chords meet in the center.
-    """
-    return _areas(x)[0]
-
-
-def area_circular_triangle(x: float) -> float:
-    """Area of one circular triangle: x/2 - 2*sin(x/2)*sin(pi/6 - x/2).
-
-    The piece bounded by an arc of length x and two chord segments;
-    there are three of them.  Zero at x = 0.
-    """
-    return _areas(x)[1]
-
-
-def area_circular_trapezoid(x: float) -> float:
-    """Area of one circular trapezoid:
-    pi/3 - x/2 + 2*sin(x/2)*sin(pi/6 - x/2) - sqrt(3)*sin^2(pi/6 - x/2).
-
-    The remainder of a 120-degree sector after the circular triangle and
-    a third of the central triangle are removed, so the three classes
-    always add up to the disk.
-    """
-    return _areas(x)[2]
-
-
-@dataclass(frozen=True)
-class AreaProfile:
-    """Areas of the seven pieces, one entry per congruence class.
-
-    Attributes:
-        triangle: area of the central triangle (multiplicity 1).
-        circular_triangle: area of each circular triangle (multiplicity 3).
-        circular_trapezoid: area of each circular trapezoid (multiplicity 3).
-    """
-
-    triangle: float
-    circular_triangle: float
-    circular_trapezoid: float
-
-
 def _areas(x: float) -> tuple[float, float, float]:
-    """(triangle, circular_triangle, circular_trapezoid) at arc length x.
+    """Areas (triangle, circular_triangle, circular_trapezoid) of the
+    three piece classes at arc length x, with s = sin(pi/6 - x/2):
 
-    The one evaluation of the three area formulas, with one domain check
-    and each sine taken once; the area functions above return its parts.
+        central triangle (one):      3 sqrt(3) s^2
+        circular triangle (three):   x/2 - 2 sin(x/2) s
+        circular trapezoid (three):  pi/3 - x/2 + 2 sin(x/2) s - sqrt(3) s^2
+
+    A trapezoid is a 120-degree sector less one circular triangle and a
+    third of the central triangle, so the seven pieces add up to pi.
     """
     _check_arc(x)
     s = math.sin(_PI_6 - x / 2)
@@ -107,11 +68,6 @@ def _areas(x: float) -> tuple[float, float, float]:
         x / 2 - chord_s,
         ARC_MAX - x / 2 + chord_s - _SQRT3 * s * s,
     )
-
-
-def area_profile(x: float) -> AreaProfile:
-    """All three class areas at arc length x."""
-    return AreaProfile(*_areas(x))
 
 
 def max_regions(n: int, d: int) -> int:

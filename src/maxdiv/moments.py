@@ -22,7 +22,7 @@ from maxdiv.geometry import max_regions as region_count
 if TYPE_CHECKING:
     from fractions import Fraction
 
-#: Largest n the enumeration routes accept unless the caller raises it.
+#: Largest n the enumeration route accepts.
 ENUMERATION_BOUND = 1000
 
 
@@ -187,11 +187,6 @@ def _enumerated_moments(n: int, p: float, d: int) -> tuple[float, float, float]:
     return mean, second, variance
 
 
-def variance_exact(model: CutModel, max_n: int = ENUMERATION_BOUND) -> float:
-    """V(R) by full enumeration of the success-count distribution."""
-    return moments_exact(model, max_n).variance
-
-
 def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fraction, Fraction]:
     """(E(R), E(R^2), V(R)) in exact rational arithmetic.
 
@@ -214,11 +209,11 @@ def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fract
     return mean, second, second - mean * mean
 
 
-def moments_exact(model: CutModel, max_n: int = ENUMERATION_BOUND) -> RegionMoments:
+def moments_exact(model: CutModel) -> RegionMoments:
     """Moments by full enumeration, packaged with their route tag."""
-    if model.n > max_n:
+    if model.n > ENUMERATION_BOUND:
         raise EnumerationBoundError(
-            f"enumeration supports n <= {max_n}, got n = {model.n}"
+            f"enumeration supports n <= {ENUMERATION_BOUND}, got n = {model.n}"
         )
     mean, second, variance = _enumerated_moments(model.n, model.p, model.d)
     return RegionMoments(
@@ -252,7 +247,7 @@ def moments_asymptotic(model: CutModel) -> RegionMoments:
     )
 
 
-def chebyshev_tail(model: CutModel, lam: float, max_n: int = ENUMERATION_BOUND) -> float:
+def chebyshev_tail(model: CutModel, lam: float) -> float:
     """Chebyshev bound on P(|R - E(R)| >= lam), capped at 1.
 
     Uses the enumerated variance when n is within the enumeration limit
@@ -260,8 +255,8 @@ def chebyshev_tail(model: CutModel, lam: float, max_n: int = ENUMERATION_BOUND) 
     """
     if lam <= 0.0:
         raise ValueError(f"deviation must be positive, got {lam!r}")
-    if model.n <= max_n:
-        var = variance_exact(model, max_n)
+    if model.n <= ENUMERATION_BOUND:
+        var = moments_exact(model).variance
     else:
         var = variance_closed_form(model)
     return min(1.0, var / (lam * lam))

@@ -8,20 +8,20 @@ is pinned here; nothing is loosened at runtime.
 import math
 import time
 
-import numpy as np
 from click.testing import CliRunner
 
 from maxdiv import clt as clt_mod
 from maxdiv import fairness as fairness_mod
 from maxdiv.cli import cli
 from maxdiv.geometry import (
-    area_profile,
+    _areas,
     count_regions_geometric,
     max_regions,
     random_chord_set,
 )
 from maxdiv.moments import (
     CutModel,
+    _enumerated_moments,
     concentration_window,
     exact_moments_rational,
     expected_regions,
@@ -29,7 +29,6 @@ from maxdiv.moments import (
     second_moment_2d,
     variance_asymptotic,
     variance_closed_form,
-    variance_exact,
 )
 
 runner = CliRunner()
@@ -48,8 +47,8 @@ def test_criterion_01_conservation():
     start = time.perf_counter()
     ok = True
     for i in range(10000):
-        p = area_profile(math.pi / 3 * i / 9999)
-        total = p.triangle + 3.0 * p.circular_triangle + 3.0 * p.circular_trapezoid
+        triangle, circular_triangle, circular_trapezoid = _areas(math.pi / 3 * i / 9999)
+        total = triangle + 3.0 * circular_triangle + 3.0 * circular_trapezoid
         ok = ok and abs(total - math.pi) <= 1e-12
     elapsed = time.perf_counter() - start
     _verdict(1, f"area conservation at 10,000 points ({elapsed:.2f}s)", ok and elapsed < 1.0)
@@ -57,14 +56,14 @@ def test_criterion_01_conservation():
 
 def test_criterion_02_sd_minimizer():
     opt = fairness_mod.minimize_sd(tol=1e-10)
-    profile = area_profile(opt.x_star)
+    triangle, circular_triangle, circular_trapezoid = _areas(opt.x_star)
     ok = (
         opt.x_star == math.pi / 3
         and opt.at_boundary
         and abs(opt.objective_value - math.pi / math.sqrt(294)) <= 1e-9
-        and abs(profile.triangle) <= 1e-9
-        and abs(profile.circular_triangle - math.pi / 6) <= 1e-9
-        and abs(profile.circular_trapezoid - math.pi / 6) <= 1e-9
+        and abs(triangle) <= 1e-9
+        and abs(circular_triangle - math.pi / 6) <= 1e-9
+        and abs(circular_trapezoid - math.pi / 6) <= 1e-9
     )
     _verdict(2, "sd minimum pi/sqrt(294) at the pi/3 boundary", ok)
 
@@ -78,23 +77,19 @@ def test_criterion_03_mad_optima():
         (best, 0.96976, (0.00779, 0.44880, 0.59581)),
         (others[0], 0.45061, (0.44880, 0.09399, 0.80361)),
     ):
-        profile = area_profile(opt.x_star)
         ok = ok and abs(opt.x_star - x_ref) <= 1e-3
-        for got, want in zip(
-            (profile.triangle, profile.circular_triangle, profile.circular_trapezoid),
-            areas_ref,
-        ):
+        for got, want in zip(_areas(opt.x_star), areas_ref):
             ok = ok and abs(got - want) <= 5e-4
     _verdict(3, f"mad global 0.96976 and local 0.45061 ({elapsed:.2f}s)", ok)
 
 
 def test_criterion_04_maximin():
     opt = fairness_mod.maximize_min_piece(tol=1e-10)
-    profile = area_profile(opt.x_star)
+    triangle, circular_triangle, circular_trapezoid = _areas(opt.x_star)
     ok = (
-        abs(profile.triangle - profile.circular_triangle) <= 1e-8
+        abs(triangle - circular_triangle) <= 1e-8
         and abs(opt.objective_value - 0.20) <= 0.01
-        and abs(profile.circular_trapezoid - 0.78) <= 0.01
+        and abs(circular_trapezoid - 0.78) <= 0.01
     )
     _verdict(4, "maximin at the equal-smallest-piece crossing", ok)
 
@@ -102,7 +97,7 @@ def test_criterion_04_maximin():
 def test_criterion_05_closed_form_equivalence():
     xs = [math.pi / 3 * i / 999 for i in range(1000)]
     sign_holds = all(
-        area_profile(x).circular_trapezoid >= fairness_mod.MEAN_AREA for x in xs
+        _areas(x)[2] >= fairness_mod.MEAN_AREA for x in xs
     )
     sd_ok = all(abs(fairness_mod.sd(x) - fairness_mod.sd_closed_form(x)) <= 1e-10 for x in xs)
     mad_ok = all(abs(fairness_mod.mad(x) - fairness_mod.mad_expanded(x)) <= 1e-10 for x in xs)
@@ -128,11 +123,10 @@ def test_criterion_06_moment_oracle():
 
 def test_criterion_07_asymptotics():
     ratios = [
-        variance_exact(CutModel(n, 0.5, 2), max_n=3000)
-        / variance_asymptotic(CutModel(n, 0.5, 2))
+        _enumerated_moments(n, 0.5, 2)[2] / variance_asymptotic(CutModel(n, 0.5, 2))
         for n in (100, 300, 1000, 3000)
     ]
-    ratio_3d = variance_exact(CutModel(1000, 0.5, 3)) / variance_asymptotic(
+    ratio_3d = moments_exact(CutModel(1000, 0.5, 3)).variance / variance_asymptotic(
         CutModel(1000, 0.5, 3)
     )
     ok = (
@@ -169,12 +163,8 @@ def test_criterion_09_geometric_oracle():
 
 def test_criterion_10_clt():
     start = time.perf_counter()
-    ks_big = clt_mod.ks_distance(
-        clt_mod.sample_region_counts(10**4, 0.5, 10**5, seed=1), 10**4, 0.5
-    ).ks_distance
-    ks_small = clt_mod.ks_distance(
-        clt_mod.sample_region_counts(10**2, 0.5, 10**5, seed=1), 10**2, 0.5
-    ).ks_distance
+    ks_big = clt_mod.sample_normality(10**4, 0.5, 10**5, seed=1).ks_distance
+    ks_small = clt_mod.sample_normality(10**2, 0.5, 10**5, seed=1).ks_distance
     elapsed = time.perf_counter() - start
     scaling_ok = True
     for field in ("term1", "term2", "term3"):
@@ -202,6 +192,6 @@ def test_criterion_11_determinism():
     for args in commands:
         outputs = {runner.invoke(cli, list(args)).stdout for _ in range(3)}
         ok = ok and len(outputs) == 1
-    draws = [clt_mod.sample_region_counts(150, 0.3, 5000, seed=12) for _ in range(2)]
-    ok = ok and np.array_equal(*draws)
+    runs = [clt_mod.sample_normality(150, 0.3, 5000, seed=12) for _ in range(2)]
+    ok = ok and runs[0] == runs[1]
     _verdict(11, "commands and sampler byte-identical across runs", ok)

@@ -15,12 +15,10 @@ from click.testing import CliRunner
 from maxdiv import MAX_SAMPLES
 from maxdiv import cli as cli_module
 from maxdiv import moments as moments_module
-from maxdiv.cli import CHUNK_ROWS, MAX_GRID, cli
+from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, cli
 from maxdiv.clt import MAX_CUTS
-from maxdiv.fairness import FairnessReport, scan
+from maxdiv.fairness import _rows
 from maxdiv.moments import RegionMoments
-
-FAIRNESS_HEADER = FairnessReport._fields
 
 # Some tests fork this process, which may hold the OpenBLAS threads that
 # numpy started for other test modules, and Python 3.12 warns about that.
@@ -74,7 +72,7 @@ def test_fairness_json_schema():
 
 def test_fairness_fine_output_digest():
     """`fairness --grid 100000` is byte-identical to the dataclass-based
-    scan and per-cell CSV renderer it replaced; digests recorded there."""
+    table and per-cell CSV renderer it replaced; digests recorded there."""
     proc = subprocess.run(
         [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--tol", "1e-10"],
         capture_output=True, check=True,
@@ -118,7 +116,7 @@ def test_fairness_csv_stream_matches_scan(grid):
     res = invoke("fairness", "--grid", str(grid), "--precision", "12")
     assert res.exit_code == 0
     expected = ",".join(FAIRNESS_HEADER) + "\n" + "".join(
-        ",".join("%.12f" % value for value in row) + "\n" for row in scan(grid)
+        ",".join("%.12f" % value for value in row) + "\n" for row in _rows(grid)
     )
     assert res.stdout == expected
 
@@ -131,7 +129,7 @@ def test_fairness_json_stream_matches_json_dumps(grid):
         "params": {"grid": grid, "tol": 1e-10, "precision": 10},
         "results": [
             {key: round(value, 10) for key, value in zip(FAIRNESS_HEADER, row)}
-            for row in scan(grid)
+            for row in _rows(grid)
         ],
         "warnings": [],
         "summary": json.loads(res.stdout)["summary"],
@@ -192,16 +190,16 @@ def _assert_reaped(pids):
 
 
 def _fairness_reference(grid: int, fmt: str, summary) -> str:
-    """What `fairness --grid G` prints, built from scan() alone."""
+    """What `fairness --grid G` prints, built row by row from _rows()."""
     if fmt == "csv":
         return ",".join(FAIRNESS_HEADER) + "\n" + "".join(
-            ",".join(f"{value:.10f}" for value in row) + "\n" for row in scan(grid)
+            ",".join(f"{value:.10f}" for value in row) + "\n" for row in _rows(grid)
         )
     payload = {
         "params": {"grid": grid, "tol": 1e-10, "precision": 10},
         "results": [
             {key: round(value, 10) for key, value in zip(FAIRNESS_HEADER, row)}
-            for row in scan(grid)
+            for row in _rows(grid)
         ],
         "warnings": [],
         "summary": summary,
@@ -553,10 +551,11 @@ def test_clt_samples_limit():
 
 
 def test_fairness_grid_limit():
-    res = invoke("fairness", "--grid", str(MAX_GRID + 1))
-    assert _single_error_line(res)
-    assert str(MAX_GRID) in res.stderr
-    assert res.stdout == ""
+    for grid in (1, MAX_GRID + 1):
+        res = invoke("fairness", "--grid", str(grid))
+        assert _single_error_line(res)
+        assert f"2<=x<={MAX_GRID}" in res.stderr
+        assert res.stdout == ""
 
 
 def test_clt_rejects_underflowing_sigma():

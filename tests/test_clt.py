@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from maxdiv import MAX_SAMPLES
+from maxdiv import clt
 from maxdiv.clt import (
     CHUNK_DRAWS,
     MAX_CUTS,
@@ -17,10 +18,8 @@ from maxdiv.clt import (
     _binomial_cdf,
     _binomial_window,
     _inverter,
-    ks_distance,
     rinott_terms,
     sample_normality,
-    sample_region_counts,
     threshold_check,
 )
 from maxdiv.moments import (
@@ -33,14 +32,31 @@ KS_SEED = 1
 KS_SAMPLES = 10**5
 
 
+def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
+    """Reference sampler: the m region counts of ``sample_normality``'s
+    draws, held in full."""
+    lo, _, chunks = clt._window_draws(n, p, m, seed)
+    x = lo + np.concatenate(list(chunks), dtype=np.int64)
+    return 1 + x + x * (x - 1) // 2
+
+
+def ks_distance(samples, n: int, p: float) -> NormalitySample:
+    """Reference KS run over the samples themselves, through np.unique;
+    ``sample_normality`` must match it bit for bit."""
+    sigma = clt._exact_sigma(n, p)
+    values, counts = np.unique(np.asarray(samples, dtype=np.float64), return_counts=True)
+    return clt._ks(values, counts, n, p, sigma)
+
+
 def test_rinott_parameters():
-    rt = rinott_terms(10, 0.3)
-    assert rt.n_summands == 101
-    assert rt.max_degree == 40
-    assert rt.summand_bound == 1.0
-    assert rt.sigma == pytest.approx(
-        math.sqrt(variance_closed_form(CutModel(10, 0.3, 2))), abs=1e-15
-    )
+    n, p = 10, 0.3
+    rt = rinott_terms(n, p)
+    # N = n^2 + 1 summands, degree bound D = 4n, summand bound B = 1
+    big_n, big_d, big_b = 101, 40, 1.0
+    sigma = math.sqrt(variance_closed_form(CutModel(n, p, 2)))
+    assert rt.term1 == pytest.approx(big_n * big_d**2 * big_b**3 / sigma**3, rel=1e-14)
+    assert rt.term2 == pytest.approx(math.sqrt(big_n * big_d**3 * big_b**4) / sigma**2, rel=1e-14)
+    assert rt.term3 == pytest.approx(big_d * big_b / sigma, rel=1e-14)
 
 
 def test_rinott_term3_definition_instance():
@@ -128,7 +144,7 @@ def test_probability_outside_the_unit_interval_is_not_called_degenerate(p):
         with pytest.raises(ValueError, match=r"not a number in \[0, 1\]"):
             check(10, p)
     with pytest.raises(ValueError, match=r"not a number in \[0, 1\]"):
-        ks_distance([4, 7], 10, p)
+        sample_normality(10, p, 10, 1)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0])

@@ -14,13 +14,10 @@ from maxdiv.fairness import (
     min_piece,
     minimize_mad,
     minimize_sd,
-    report,
-    scan,
     sd,
     sd_closed_form,
 )
-from maxdiv import geometry
-from maxdiv.geometry import area_profile
+from maxdiv.geometry import _areas
 
 GRID = [ARC_MAX * i / 999 for i in range(1000)]
 
@@ -31,8 +28,8 @@ MAD_LOCAL = (0.45061, (0.44880, 0.09399, 0.80361))
 
 def seven_areas(x):
     """The seven piece areas at arc length x, with multiplicity."""
-    p = area_profile(x)
-    return (p.triangle,) + (p.circular_triangle,) * 3 + (p.circular_trapezoid,) * 3
+    triangle, circular_triangle, circular_trapezoid = _areas(x)
+    return (triangle,) + (circular_triangle,) * 3 + (circular_trapezoid,) * 3
 
 
 def seven_value_sd(x):
@@ -49,8 +46,8 @@ def bisect_equal_triangles(tol=1e-12):
     lo, hi = 0.0, ARC_MAX
     while hi - lo > tol:
         mid = (lo + hi) / 2
-        p = area_profile(mid)
-        if p.triangle > p.circular_triangle:
+        triangle, circular_triangle, _ = _areas(mid)
+        if triangle > circular_triangle:
             lo = mid
         else:
             hi = mid
@@ -95,7 +92,7 @@ def test_mad_expanded_equivalence():
     """The expanded form assumes the trapezoid exceeds the fair share;
     confirm that assumption on the grid, then demand equality there."""
     for x in GRID:
-        assert area_profile(x).circular_trapezoid >= MEAN_AREA
+        assert _areas(x)[2] >= MEAN_AREA
         assert abs(mad(x) - mad_expanded(x)) <= 1e-10
 
 
@@ -116,8 +113,10 @@ def test_minimize_sd_boundary_optimum():
     opt = minimize_sd(tol=1e-10)
     assert opt.x_star == ARC_MAX
     assert opt.at_boundary
-    assert opt.kind == "global_min"
     assert opt.objective_value == pytest.approx(math.pi / math.sqrt(294), abs=1e-9)
+    # the global minimum ranks first among the minima located
+    assert all(opt.objective_value <= other.objective_value
+               for other in fairness._locate_minima(sd, 1e-10))
 
 
 def test_minimize_sd_is_global():
@@ -127,13 +126,12 @@ def test_minimize_sd_is_global():
 
 
 def test_minimize_mad_global():
-    best, _ = minimize_mad(tol=1e-10)
+    best, others = minimize_mad(tol=1e-10)
     x_ref, areas_ref = MAD_GLOBAL
-    assert best.kind == "global_min"
+    assert others and all(best.objective_value < other.objective_value for other in others)
     assert not best.at_boundary
     assert best.x_star == pytest.approx(x_ref, abs=1e-3)
-    p = area_profile(best.x_star)
-    for got, want in zip((p.triangle, p.circular_triangle, p.circular_trapezoid), areas_ref):
+    for got, want in zip(_areas(best.x_star), areas_ref):
         assert got == pytest.approx(want, abs=5e-4)
 
 
@@ -142,11 +140,12 @@ def test_minimize_mad_local():
     assert len(others) == 1
     (local,) = others
     x_ref, areas_ref = MAD_LOCAL
-    assert local.kind == "local_min"
     assert local.x_star == pytest.approx(x_ref, abs=1e-3)
-    p = area_profile(local.x_star)
-    for got, want in zip((p.triangle, p.circular_triangle, p.circular_trapezoid), areas_ref):
+    for got, want in zip(_areas(local.x_star), areas_ref):
         assert got == pytest.approx(want, abs=5e-4)
+    # a local minimum, strictly worse than the global one
+    step = 1e-6
+    assert min(mad(local.x_star - step), mad(local.x_star + step)) > local.objective_value
     assert local.objective_value > best.objective_value
 
 
@@ -159,21 +158,21 @@ def test_minimize_mad_is_global():
 def test_mad_minima_sit_on_fair_share_kinks():
     # each minimum is where some piece crosses pi/7 exactly
     best, (local,) = minimize_mad(tol=1e-12)
-    assert area_profile(best.x_star).circular_triangle == pytest.approx(MEAN_AREA, abs=1e-9)
-    assert area_profile(local.x_star).triangle == pytest.approx(MEAN_AREA, abs=1e-9)
+    assert _areas(best.x_star)[1] == pytest.approx(MEAN_AREA, abs=1e-9)
+    assert _areas(local.x_star)[0] == pytest.approx(MEAN_AREA, abs=1e-9)
 
 
 def test_maximize_min_piece_crossing():
     opt = maximize_min_piece(tol=1e-10)
-    p = area_profile(opt.x_star)
-    assert opt.kind == "global_max"
+    triangle, circular_triangle, circular_trapezoid = _areas(opt.x_star)
     assert not opt.at_boundary
-    assert abs(p.triangle - p.circular_triangle) <= 1e-8
+    assert opt.objective_value == min_piece(opt.x_star)
+    assert abs(triangle - circular_triangle) <= 1e-8
     assert opt.x_star == pytest.approx(bisect_equal_triangles(), abs=1e-8)
     assert opt.objective_value == pytest.approx(0.20, abs=0.01)
-    assert p.circular_trapezoid == pytest.approx(0.78, abs=0.01)
-    assert p.triangle <= p.circular_trapezoid
-    assert p.circular_triangle <= p.circular_trapezoid
+    assert circular_trapezoid == pytest.approx(0.78, abs=0.01)
+    assert triangle <= circular_trapezoid
+    assert circular_triangle <= circular_trapezoid
 
 
 def test_maximize_min_piece_is_global():
@@ -220,39 +219,23 @@ def test_refinement_stops_at_float_spacing(monkeypatch):
     assert crossing == pytest.approx(bisect_equal_triangles(), abs=1e-12)
 
 
-def test_report_fields():
-    rep = report(0.5)
-    assert rep.x == 0.5
-    assert rep.sd == sd(0.5)
-    assert rep.mad == mad(0.5)
-    assert rep.min_piece == min_piece(0.5)
-    assert (rep.alpha1, rep.alpha2, rep.alpha3) == geometry._areas(0.5)
-
-
 def test_scan_rows_equal_the_public_measures():
-    """Rows of a scan, whose grid includes both endpoints, and reports at
-    the three acceptance optima are CSV rows holding exactly the values
-    of the one-measure-at-a-time routes."""
+    """Rows of the table, whose grid includes both endpoints, and rows at
+    the three acceptance optima hold, in the CLI's column order x, alpha1,
+    alpha2, alpha3, sd, mad, min_piece, exactly the values of the
+    one-measure-at-a-time routes."""
     mad_global, (mad_local,) = minimize_mad()
     optima = [mad_global.x_star, mad_local.x_star, maximize_min_piece().x_star]
-    rows = scan(1001) + [report(x) for x in optima]
-    assert rows[0]._fields == ("x", "alpha1", "alpha2", "alpha3", "sd", "mad", "min_piece")
-    for row in rows:
-        x = row.x
-        p = area_profile(x)
-        assert row == (
-            x, p.triangle, p.circular_triangle, p.circular_trapezoid,
-            sd(x), mad(x), min_piece(x),
-        )
-        assert row.sd == fairness._sd(p.triangle, p.circular_triangle, p.circular_trapezoid)
-        assert row.mad == fairness._mad(p.triangle, p.circular_triangle, p.circular_trapezoid)
-        assert row.min_piece == min(geometry._areas(x))
+    for row in list(fairness._rows(1001)) + [fairness._measures(x) for x in optima]:
+        x = row[0]
+        areas = _areas(x)
+        assert row == (x, *areas, sd(x), mad(x), min_piece(x))
+        assert row[4:] == (fairness._sd(*areas), fairness._mad(*areas), min(areas))
 
 
 def test_scan_endpoints_and_length():
-    rows = scan(2)
-    assert [r.x for r in rows] == [0.0, ARC_MAX]
-    assert len(scan(1000)) == 1000
+    assert [row[0] for row in fairness._rows(2)] == [0.0, ARC_MAX]
+    assert len(list(fairness._rows(1000))) == 1000
 
 
 def test_grid_stays_inside_the_domain():
@@ -272,22 +255,17 @@ def test_grid_pieces_join_up_to_the_grid():
 
 
 def test_scan_rows_conserve_area():
-    for row in scan(257):
-        total = row.alpha1 + 3.0 * row.alpha2 + 3.0 * row.alpha3
+    for _, alpha1, alpha2, alpha3, *_ in fairness._rows(257):
+        total = alpha1 + 3.0 * alpha2 + 3.0 * alpha3
         assert total == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_scan_deterministic():
-    assert scan(100) == scan(100)
-
-
-def test_scan_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        scan(1)
+    assert list(fairness._rows(100)) == list(fairness._rows(100))
 
 
 def test_optimum_is_plain_data():
-    opt = Optimum(1.0, 2.0, "global_min", False)
+    opt = Optimum(1.0, 2.0, False)
     assert opt.x_star == 1.0
     assert not opt.at_boundary
 

@@ -11,10 +11,7 @@ from maxdiv.geometry import (
     ChordSet,
     DegenerateConfigurationError,
     InvalidChordError,
-    area_circular_trapezoid,
-    area_circular_triangle,
-    area_profile,
-    area_triangle,
+    _areas,
     count_regions_geometric,
     max_regions,
     random_chord_set,
@@ -23,15 +20,17 @@ from maxdiv.geometry import (
 
 GRID = [ARC_MAX * i / 9999 for i in range(10000)]
 
-# Five-decimal checkpoints for the two published cut configurations; the
-# arc lengths themselves are rounded, hence the 1e-5 slack.
+# Five-decimal checkpoints for the two published cut configurations, as
+# (arc length, piece, area) with pieces 0, 1, 2 the central triangle, a
+# circular triangle and a circular trapezoid; the arc lengths themselves
+# are rounded, hence the 1e-5 slack.
 CHECKPOINTS = [
-    (0.45061, area_triangle, 0.44880),
-    (0.45061, area_circular_triangle, 0.09399),
-    (0.45061, area_circular_trapezoid, 0.80361),
-    (0.96976, area_circular_triangle, 0.44880),
-    (0.96976, area_circular_trapezoid, 0.59581),
-    (0.96976, area_triangle, 0.00779),
+    (0.45061, 0, 0.44880),
+    (0.45061, 1, 0.09399),
+    (0.45061, 2, 0.80361),
+    (0.96976, 1, 0.44880),
+    (0.96976, 2, 0.59581),
+    (0.96976, 0, 0.00779),
 ]
 
 
@@ -68,24 +67,26 @@ def signature_region_count(chord_set):
 
 
 def test_area_endpoints():
-    assert area_triangle(0.0) == pytest.approx(3 * math.sqrt(3) / 4, abs=1e-15)
-    assert area_triangle(ARC_MAX) == pytest.approx(0.0, abs=1e-15)
-    assert area_circular_triangle(0.0) == 0.0
-    assert area_circular_triangle(ARC_MAX) == pytest.approx(math.pi / 6, abs=1e-15)
-    assert area_circular_trapezoid(0.0) == pytest.approx(math.pi / 3 - math.sqrt(3) / 4, abs=1e-15)
-    assert area_circular_trapezoid(ARC_MAX) == pytest.approx(math.pi / 6, abs=1e-15)
+    triangle, circular_triangle, circular_trapezoid = _areas(0.0)
+    assert triangle == pytest.approx(3 * math.sqrt(3) / 4, abs=1e-15)
+    assert circular_triangle == 0.0
+    assert circular_trapezoid == pytest.approx(math.pi / 3 - math.sqrt(3) / 4, abs=1e-15)
+    triangle, circular_triangle, circular_trapezoid = _areas(ARC_MAX)
+    assert triangle == pytest.approx(0.0, abs=1e-15)
+    assert circular_triangle == pytest.approx(math.pi / 6, abs=1e-15)
+    assert circular_trapezoid == pytest.approx(math.pi / 6, abs=1e-15)
 
 
 def test_published_checkpoints():
-    for x, fn, expected in CHECKPOINTS:
-        assert fn(x) == pytest.approx(expected, abs=1e-5)
+    for x, piece, expected in CHECKPOINTS:
+        assert _areas(x)[piece] == pytest.approx(expected, abs=1e-5)
 
 
 def test_conservation_on_dense_grid():
     """The seven pieces always add up to the disk."""
     for x in GRID:
-        p = area_profile(x)
-        total = p.triangle + 3.0 * p.circular_triangle + 3.0 * p.circular_trapezoid
+        triangle, circular_triangle, circular_trapezoid = _areas(x)
+        total = triangle + 3.0 * circular_triangle + 3.0 * circular_trapezoid
         assert abs(total - math.pi) <= 1e-12
 
 
@@ -93,24 +94,24 @@ def test_sector_identity():
     # a 120-degree sector holds one circular triangle, one trapezoid,
     # and a third of the central triangle
     for x in GRID[::37]:
-        p = area_profile(x)
-        sector = p.triangle / 3 + p.circular_triangle + p.circular_trapezoid
+        triangle, circular_triangle, circular_trapezoid = _areas(x)
+        sector = triangle / 3 + circular_triangle + circular_trapezoid
         assert sector == pytest.approx(math.pi / 3, abs=1e-12)
 
 
 def test_triangle_monotone_decreasing():
-    values = [area_triangle(x) for x in GRID[::11]]
+    values = [_areas(x)[0] for x in GRID[::11]]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_circular_triangle_monotone_increasing():
-    values = [area_circular_triangle(x) for x in GRID[::11]]
+    values = [_areas(x)[1] for x in GRID[::11]]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_areas_nonnegative():
     for x in GRID[::7]:
-        assert min(geometry._areas(x)) >= 0.0
+        assert min(_areas(x)) >= 0.0
 
 
 def _paper_areas(x):
@@ -125,21 +126,13 @@ def _paper_areas(x):
 
 def test_shared_kernel_matches_area_functions_bit_for_bit():
     for x in GRID + [0.0, ARC_MAX, 0.45061, 0.96976, 0.6520005058]:
-        assert geometry._areas(x) == _paper_areas(x) == (
-            area_triangle(x), area_circular_triangle(x), area_circular_trapezoid(x)
-        )
+        assert _areas(x) == _paper_areas(x)
 
 
 def test_domain_rejected_outside():
     for bad in (-0.1, -1e-12, ARC_MAX + 1e-9, 4.0):
         with pytest.raises(ValueError):
-            area_triangle(bad)
-        with pytest.raises(ValueError):
-            area_circular_triangle(bad)
-        with pytest.raises(ValueError):
-            area_circular_trapezoid(bad)
-        with pytest.raises(ValueError):
-            geometry._areas(bad)
+            _areas(bad)
 
 
 def test_max_regions_known_values():

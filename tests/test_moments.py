@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from maxdiv.geometry import max_regions
 from maxdiv.moments import (
     CutModel,
+    _enumerated_moments,
     _region_counts,
     EnumerationBoundError,
     UnsupportedDimensionError,
@@ -22,7 +23,6 @@ from maxdiv.moments import (
     second_moment_2d,
     variance_asymptotic,
     variance_closed_form,
-    variance_exact,
 )
 
 P_GRID = [k / 10 for k in range(11)]
@@ -97,8 +97,8 @@ def test_degenerate_probabilities():
         assert expected_regions(sure) == region_count(6, d)
         assert expected_regions(none) == 1.0
         assert variance_closed_form(sure) == 0.0
-        assert variance_exact(none) == 0.0
-    assert variance_exact(CutModel(5, 1.0, 4)) == 0.0
+        assert moments_exact(none).variance == 0.0
+    assert moments_exact(CutModel(5, 1.0, 4)).variance == 0.0
     assert expected_regions(CutModel(5, 1.0, 4)) == region_count(5, 4)
 
 
@@ -112,7 +112,7 @@ def test_closed_forms_match_rational_enumeration():
                 mean_r, m2_r, var_r = exact_moments_rational(n, Fraction(k, 10), d)
                 assert close(expected_regions(model), float(mean_r))
                 assert close(variance_closed_form(model), float(var_r))
-                assert close(variance_exact(model), float(var_r))
+                assert close(moments_exact(model).variance, float(var_r))
                 if d == 2:
                     assert close(second_moment_2d(model), float(m2_r))
 
@@ -120,7 +120,7 @@ def test_closed_forms_match_rational_enumeration():
 def test_enumeration_matches_closed_form_large_n():
     for n in (200, 500, 1000):
         model = CutModel(n, 0.3, 2)
-        assert close(variance_exact(model), variance_closed_form(model), rel=1e-9)
+        assert close(moments_exact(model).variance, variance_closed_form(model), rel=1e-9)
 
 
 def _variance_2d_rational(n: int, p: Fraction) -> Fraction:
@@ -137,7 +137,7 @@ def test_enumerated_variance_accurate_near_one():
     rational value by 1.35e-6 relative, the centred pass by about 1e-12."""
     n, p = 2000, 0.9999
     want = _variance_2d_rational(n, Fraction(p))
-    got = variance_exact(CutModel(n, p, 2), max_n=n)
+    got = _enumerated_moments(n, p, 2)[2]
     assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * want
 
 
@@ -183,7 +183,6 @@ def test_enumeration_survives_counts_beyond_sqrt_of_float_range():
     assert bundle.second_moment == pytest.approx((1 + 3 * p) ** n, rel=1e-9)
     want_var = (1 + 3 * p) ** n - (1 + p) ** (2 * n)
     assert bundle.variance == pytest.approx(want_var, rel=1e-9)
-    assert variance_exact(model) == bundle.variance
     assert chebyshev_tail(model, 1.0) == 1.0
 
 
@@ -207,23 +206,23 @@ def test_dimension_guards():
 
 def test_enumeration_bound_enforced():
     with pytest.raises(EnumerationBoundError):
-        variance_exact(CutModel(1001, 0.5, 2))
-    # explicit opt-in raises the ceiling
-    assert variance_exact(CutModel(1001, 0.5, 2), max_n=1001) > 0.0
+        moments_exact(CutModel(1001, 0.5, 2))
+    # the enumeration itself runs past the bound
+    assert _enumerated_moments(1001, 0.5, 2)[2] > 0.0
 
 
 def test_asymptotic_ratio_monotone_toward_one():
     ratios = []
     for n in (100, 300, 1000, 3000):
         model = CutModel(n, 0.5, 2)
-        ratios.append(variance_exact(model, max_n=3000) / variance_asymptotic(model))
+        ratios.append(_enumerated_moments(n, 0.5, 2)[2] / variance_asymptotic(model))
     assert abs(ratios[2] - 1.0) <= 0.01
     assert all(a > b > 1.0 for a, b in zip(ratios, ratios[1:]))
 
 
 def test_asymptotic_ratio_3d():
     model = CutModel(1000, 0.5, 3)
-    ratio = variance_exact(model) / variance_asymptotic(model)
+    ratio = moments_exact(model).variance / variance_asymptotic(model)
     assert abs(ratio - 1.0) <= 0.05
 
 
@@ -236,7 +235,7 @@ def test_expected_regions_monotone():
 
 def test_chebyshev_tail_values():
     model = CutModel(100, 0.5, 2)
-    sigma = math.sqrt(variance_exact(model))
+    sigma = math.sqrt(moments_exact(model).variance)
     assert chebyshev_tail(model, sigma) == pytest.approx(1.0, abs=1e-12)
     assert chebyshev_tail(model, 10 * sigma) == pytest.approx(0.01, abs=1e-12)
     assert chebyshev_tail(model, 1e-6) == 1.0
@@ -248,7 +247,7 @@ def test_chebyshev_tail_bounds_empirical_tail():
 
     model = CutModel(50, 0.5, 2)
     mean = expected_regions(model)
-    sigma = math.sqrt(variance_exact(model))
+    sigma = math.sqrt(moments_exact(model).variance)
     rng = np.random.default_rng(2024)
     x = rng.binomial(model.n, model.p, size=200_000)
     r = 1 + x + x * (x - 1) // 2
@@ -304,4 +303,4 @@ def test_variance_never_negative():
         for p in P_GRID:
             for d in (2, 3):
                 assert variance_closed_form(CutModel(n, p, d)) >= 0.0
-                assert variance_exact(CutModel(n, p, d)) >= 0.0
+                assert moments_exact(CutModel(n, p, d)).variance >= 0.0

@@ -1,0 +1,77 @@
+"""Every public function and class of the analysis modules has a use.
+
+A top-level function or class of ``maxdiv.geometry``, ``fairness``,
+``moments`` or ``clt`` whose name has no leading underscore must either
+be referred to by code in ``src/``, or be one of the formulas the paper
+states.  Code that only tests call belongs in ``tests/``.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "maxdiv"
+MODULES = ("geometry", "fairness", "moments", "clt")
+
+#: Formulas the paper states, kept whether or not src/ calls them.  A
+#: listed formula keeps only itself: what it calls needs a use of its
+#: own, so the list cannot keep a wrapper alive.
+PAPER_FORMULAS = {
+    "sd", "mad", "min_piece",
+    "sd_closed_form", "mad_expanded", "exact_moments_rational",
+    "second_moment_2d", "chebyshev_tail", "concentration_window",
+}
+
+
+def _parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) pairs that the code of one src/ module refers to.
+
+    A name that is read resolves through ``from maxdiv.X import name [as
+    alias]``, and otherwise to the module's own top-level name;
+    ``alias.name`` resolves where ``from maxdiv import X [as alias]``
+    bound alias.  A definition's references to itself do not count, and
+    neither does the body of a paper formula.
+    """
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "maxdiv":
+            modules.update((alias.asname or alias.name, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("maxdiv."):
+            source = node.module[len("maxdiv."):]
+            names.update((alias.asname or alias.name, (source, alias.name)) for alias in node.names)
+    found = set()
+    for statement in tree.body:
+        owner = getattr(statement, "name", None)
+        if owner in PAPER_FORMULAS:
+            continue
+        refs = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                refs.add(names.get(node.id, (module, node.id)))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    refs.add((modules[node.value.id], node.attr))
+        refs.discard((module, owner))
+        found |= refs
+    return found
+
+
+def test_every_public_name_has_a_use_in_src_or_is_a_paper_formula():
+    used = set()
+    for path in SRC.glob("*.py"):
+        used |= _references(path.stem, _parse(path))
+    public = {
+        (module, node.name)
+        for module in MODULES
+        for node in _parse(SRC / f"{module}.py").body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert PAPER_FORMULAS <= {name for _, name in public}
+    unused = sorted(
+        f"{module}.{name}" for module, name in public
+        if name not in PAPER_FORMULAS and (module, name) not in used
+    )
+    assert unused == [], f"only tests use {unused}: move them into tests/ or delete them"
