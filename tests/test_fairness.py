@@ -2,8 +2,10 @@ import math
 import statistics
 
 import pytest
+from click.testing import CliRunner
 
 from maxdiv import fairness
+from maxdiv.cli import cli
 from maxdiv.fairness import (
     ARC_MAX,
     MEAN_AREA,
@@ -236,6 +238,16 @@ def test_scan_rows_equal_the_public_measures():
 def test_scan_endpoints_and_length():
     assert [row[0] for row in fairness._rows(2)] == [0.0, ARC_MAX]
     assert len(list(fairness._rows(1000))) == 1000
+
+
+def test_scan_rejects_tiny_grid():
+    """The table needs both ends of [0, pi/3]; its one entry point,
+    `fairness --grid`, refuses a grid below 2 before computing a row."""
+    for grid in ("1", "0", "-3"):
+        res = CliRunner().invoke(cli, ["fairness", "--grid", grid])
+        assert res.exit_code == 2
+        assert "2<=x<=" in res.output
+        assert "x,alpha1" not in res.output
 
 
 def test_grid_stays_inside_the_domain():
