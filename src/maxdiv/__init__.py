@@ -1,22 +1,11 @@
 """Maximal division of a disk: piece areas, fairness optima, and the
 moments and normal limit of the random region count.
 
-The names in ``__all__``, chord arrangements and the region-count
-maximum, come from ``maxdiv.geometry``, which is imported on first
-access, so that a command needing only part of the package loads only
-that part.
+The package root imports none of its modules, so that a command needing
+only part of the package loads only that part.
 """
 
 import math
-
-__all__ = [
-    "ARC_MAX",
-    "Chord",
-    "ChordSet",
-    "count_regions_geometric",
-    "max_regions",
-    "random_chord_set",
-]
 
 __version__ = "0.1.0"
 
@@ -33,11 +22,3 @@ MAX_CUTS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
 #: 42 MiB.  Defined here for the same reason as MAX_CUTS.
 MAX_SAMPLES = 30_000_000
 
-
-def __getattr__(name: str):
-    if name in __all__:
-        from maxdiv import geometry
-
-        value = globals()[name] = getattr(geometry, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -335,7 +335,7 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
         sd_min = fairness_mod.minimize_sd(tol)
         mad_global, mad_locals = fairness_mod.minimize_mad(tol)
         maximin = fairness_mod.maximize_min_piece(tol)
-    except (ValueError, fairness_mod.ConsistencyError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc))
     summary = {
         "sd_min": _optimum_entry(sd_min, precision),

@@ -83,13 +83,9 @@ class NormalitySample:
     sigma: float
 
 
-def _require_probability(p: float) -> None:
+def _require_nondegenerate(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} is not a number in [0, 1]")
-
-
-def _require_nondegenerate(p: float) -> None:
-    _require_probability(p)
     if p == 0.0 or p == 1.0:
         raise ValueError(f"probability {p!r} is degenerate (sigma = 0 at p = 0 or 1)")
 
@@ -175,9 +171,9 @@ def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterat
     outcomes lo..lo + size - 1 of the window.
 
     Uniform number i of a counter-based stream keyed by the seed is
-    inverted through the windowed CDF; at p = 0 or 1 the window is the
-    one outcome 0 or n.  The chunks hold at most CHUNK_DRAWS indices,
-    and the arguments are checked before anything is built.
+    inverted through the windowed CDF.  The chunks hold at most
+    CHUNK_DRAWS indices, and the arguments, p strictly inside (0, 1)
+    among them, are checked before anything is built.
     """
     if n < 1:
         raise ValueError(f"cut count must be positive, got {n}")
@@ -187,13 +183,10 @@ def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterat
         )
     if not 1 <= m <= MAX_SAMPLES:
         raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
-    _require_probability(p)
+    _require_nondegenerate(p)
     import numpy as np
 
-    if p == 0.0 or p == 1.0:
-        lo, cdf = (n if p == 1.0 else 0), np.ones(1)
-    else:
-        lo, cdf = _binomial_cdf(n, p)
+    lo, cdf = _binomial_cdf(n, p)
     invert = _inverter(cdf, m)
     stream = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
     chunks = (invert(stream.random(min(CHUNK_DRAWS, m - start)))
@@ -239,8 +232,8 @@ def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     only for the outcomes drawn; it increases with the outcome, so the
     histogram is already sorted.
     """
-    lo, size, chunks = _window_draws(n, p, m, seed)
     sigma = _exact_sigma(n, p)
+    lo, size, chunks = _window_draws(n, p, m, seed)
     import numpy as np
 
     counts = np.zeros(size, dtype=np.int64)
@@ -260,8 +253,6 @@ def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) 
     empirical CDF, exact for a step function."""
     import numpy as np
 
-    if values.size == 0:
-        raise ValueError("need at least one sample")
     mean = expected_regions(CutModel(n, p, 2))
     z = (values - mean) / sigma
     phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])

@@ -13,6 +13,7 @@ recipe: bracket candidate minima on a uniform coarse grid, refine each
 bracket by golden-section search, then rank.  The measures are piecewise
 smooth with kinks (the interesting optima sit exactly on kinks), which
 golden-section search handles as long as the bracket is unimodal.
+Maximization runs the same recipe on the negated measure.
 
 The table the CLI prints holds, per grid point, the three class areas
 and the three measures; ``_rows`` computes any range of its rows.
@@ -40,10 +41,6 @@ VALUE_TIE_TOL = 1e-12
 
 _SQRT3 = math.sqrt(3.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent routes to the same optimum disagreed."""
 
 
 @dataclass(frozen=True)
@@ -74,17 +71,11 @@ def _grid(points: int, start: int = 0, stop: int | None = None):
     )
 
 
-def _guarded_sqrt(value: float) -> float:
-    # rounding may push an exact zero a hair negative; anything worse
-    # than -1e-12 signals a real bug upstream
-    if value < -1e-12:
-        raise ValueError(f"negative radicand {value!r} in deviation formula")
-    return math.sqrt(max(value, 0.0))
-
-
 def _sd(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
     square_sum = triangle**2 + 3.0 * circular_triangle**2 + 3.0 * circular_trapezoid**2
-    return _guarded_sqrt((square_sum - _PI2_7) / 7.0)
+    # at least pi^2/294 on [0, pi/3]; seven equal areas, which no arc
+    # length gives, can round a hair below 0
+    return math.sqrt(max((square_sum - _PI2_7) / 7.0, 0.0))
 
 
 def _mad(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
@@ -117,7 +108,7 @@ def sd_closed_form(x: float) -> float:
         + 21.0 * trap_part**2
         - math.pi**2
     )
-    return _guarded_sqrt(bracket) / 7.0
+    return math.sqrt(bracket) / 7.0
 
 
 def mad(x: float) -> float:
@@ -240,48 +231,16 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
     """Arc length maximizing the smallest piece.
 
     The maximum sits where the central triangle and the circular
-    triangles trade places as smallest piece.  The bracketed search is
-    double-checked by bisecting that area crossing directly; the two
-    routes must agree to within tol.  The two searches run at tol/2 and
-    tol/4, so a tol whose quarter underflows to 0.0 is refused.
+    triangles trade places as smallest piece.  The bracketed search runs
+    at tol/2, so a tol whose half underflows to 0.0 is refused.
     """
-    if not 0.0 < tol / 4 < math.inf:
+    if not 0.0 < tol / 2 < math.inf:
         raise ValueError(
-            f"tolerance must be positive and finite and tol/4 must not underflow"
+            f"tolerance must be positive and finite and tol/2 must not underflow"
             f" to 0.0, got {tol!r}"
         )
     best = _locate_minima(lambda x: -min_piece(x), tol / 2)[0]
-
-    crossing = _bisect_triangle_crossing(tol / 4)
-    if abs(best.x_star - crossing) > tol:
-        raise ConsistencyError(
-            f"search maximum {best.x_star!r} disagrees with the "
-            f"triangle-area crossing {crossing!r}"
-        )
     return Optimum(best.x_star, -best.objective_value, best.at_boundary)
-
-
-def _bisect_triangle_crossing(tol: float) -> float:
-    """Arc length where the central and circular triangles have equal area.
-
-    Stops early once the midpoint equals an end: the bracket is then at
-    float spacing.
-    """
-
-    def gap(x: float) -> float:
-        triangle, circular_triangle, _ = _areas(x)
-        return triangle - circular_triangle
-
-    lo, hi = 0.0, ARC_MAX
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            break
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 def _measures(x: float) -> tuple[float, ...]:

@@ -379,7 +379,15 @@ def test_fairness_rejects_underflowing_tol():
     res = invoke("fairness", "--grid", "4", "--tol", "5e-324")
     assert _single_error_line(res)
     assert "5e-324" in res.stderr
-    assert "tol/4" in res.stderr
+    assert "tol/2" in res.stderr
+
+
+def test_fairness_accepts_the_smallest_tol_whose_half_is_positive():
+    """tol/2 of 1e-323 is the smallest positive float, so the search
+    runs, and at float spacing it finds what --tol 1e-20 finds."""
+    res = invoke("fairness", "--grid", "4", "--tol", "1e-323")
+    assert res.exit_code == 0, res.output
+    assert res.stderr == invoke("fairness", "--grid", "4", "--tol", "1e-20").stderr
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])

@@ -22,7 +22,7 @@ from maxdiv.cli import MAX_GRID
 MALFORMED = st.sampled_from(["", "abc", "1.5", "0x10", "1e3", "--", "-", "nan", "inf", "1,2"])
 
 # Floats that a float-typed option accepts, so they reach the program.
-SPECIAL_FLOATS = st.sampled_from([5e-324, 1e-300, 0.0, -0.0, -1e-10, 1.0, 1 - 2**-53,
+SPECIAL_FLOATS = st.sampled_from([5e-324, 1e-323, 1e-300, 0.0, -0.0, -1e-10, 1.0, 1 - 2**-53,
                                   1e300, math.nan, math.inf, -math.inf])
 
 

@@ -154,10 +154,9 @@ def test_degenerate_probability_is_called_degenerate(p):
 
 
 def test_samples_degenerate_probabilities():
-    for p, count in ((0.0, 1), (1.0, 22)):
-        samples = sample_region_counts(6, p, 50, seed=0)
-        assert samples.dtype == np.int64
-        assert np.all(samples == count)
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError, match="degenerate"):
+            sample_region_counts(6, p, 50, seed=0)
 
 
 def test_samples_deterministic():
@@ -363,8 +362,6 @@ def test_ks_degenerate_samples_far_from_normal():
 def test_ks_rejects_degenerate_p():
     with pytest.raises(ValueError):
         ks_distance([1, 2, 3], 10, 0.0)
-    with pytest.raises(ValueError):
-        ks_distance([], 10, 0.5)
 
 
 def _brute_force_ks(samples, mean: float, sigma: float) -> float:

@@ -164,13 +164,16 @@ def test_mad_minima_sit_on_fair_share_kinks():
     assert _areas(local.x_star)[0] == pytest.approx(MEAN_AREA, abs=1e-9)
 
 
-def test_maximize_min_piece_crossing():
-    opt = maximize_min_piece(tol=1e-10)
+@pytest.mark.parametrize("tol", [1e-20, 1e-10, 1e-4, 1.0])
+def test_maximize_min_piece_crossing(tol):
+    """The search lands within tol of the triangle-area crossing, found
+    independently by bisection, down to float spacing."""
+    opt = maximize_min_piece(tol=tol)
     triangle, circular_triangle, circular_trapezoid = _areas(opt.x_star)
     assert not opt.at_boundary
     assert opt.objective_value == min_piece(opt.x_star)
-    assert abs(triangle - circular_triangle) <= 1e-8
-    assert opt.x_star == pytest.approx(bisect_equal_triangles(), abs=1e-8)
+    assert abs(opt.x_star - bisect_equal_triangles(1e-15)) <= max(tol, 1e-15)
+    assert abs(triangle - circular_triangle) <= 2 * max(tol, 1e-15)
     assert opt.objective_value == pytest.approx(0.20, abs=0.01)
     assert circular_trapezoid == pytest.approx(0.78, abs=0.01)
     assert triangle <= circular_trapezoid
@@ -200,9 +203,10 @@ def test_optimizers_reject_bad_tol():
                 optimizer(tol=tol)
 
 
-def test_refinement_stops_at_float_spacing(monkeypatch):
-    """A zero tolerance can never be met, yet both loops must end once
-    the bracket reaches float spacing (about a hundred steps here)."""
+def test_refinement_stops_at_float_spacing():
+    """A zero tolerance can never be met, yet the golden-section loop
+    must end once the bracket reaches float spacing (about a hundred
+    steps here)."""
 
     def capped(f):
         calls = []
@@ -216,9 +220,6 @@ def test_refinement_stops_at_float_spacing(monkeypatch):
 
     x = fairness._golden_section(capped(lambda t: abs(t - 0.3)), 0.25, 0.35, 0.0)
     assert x == pytest.approx(0.3, abs=1e-15)
-    monkeypatch.setattr(fairness, "_areas", capped(fairness._areas))
-    crossing = fairness._bisect_triangle_crossing(0.0)
-    assert crossing == pytest.approx(bisect_equal_triangles(), abs=1e-12)
 
 
 def test_scan_rows_equal_the_public_measures():
@@ -280,7 +281,3 @@ def test_optimum_is_plain_data():
     opt = Optimum(1.0, 2.0, False)
     assert opt.x_star == 1.0
     assert not opt.at_boundary
-
-
-def test_consistency_error_exported():
-    assert issubclass(fairness.ConsistencyError, RuntimeError)

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import pytest
 
@@ -232,19 +230,3 @@ def test_validate_rejects_line_missing_disk():
 
 def test_general_position_margin_exposed():
     assert geometry.GENERAL_POSITION_TOL == 1e-9
-
-
-def test_package_names_resolve_on_first_use():
-    """maxdiv's names come from geometry, imported only when one is used."""
-    code = (
-        "import sys, maxdiv\n"
-        "print('maxdiv.geometry' in sys.modules)\n"
-        "from maxdiv import Chord, max_regions, random_chord_set\n"
-        "from maxdiv import *\n"
-        "from maxdiv import geometry\n"
-        "print(all(getattr(maxdiv, name) is getattr(geometry, name) for name in maxdiv.__all__))\n"
-        "print(max_regions(3, 2), len(random_chord_set(3, 0).chords), Chord is geometry.Chord)\n"
-        "print(hasattr(maxdiv, 'no_such_name'))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["False", "True", "7", "3", "True", "False"]
