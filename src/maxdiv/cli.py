@@ -7,11 +7,11 @@ Four subcommands cover the analyses end to end:
 * ``clt``       Rinott terms, threshold margin, and an empirical KS run,
 * ``oracle``    geometric region counts checked against the formula.
 
-Every subcommand takes ``--format csv|json``, ``--out PATH`` and
-``--precision K``.  CSV uses '.' decimals, ',' separators, one header
-row and LF line endings; JSON is a single object with "params",
-"results" and "warnings" entries whose field names match the CSV
-headers.  Output is byte-identical across runs for fixed inputs.
+Every subcommand takes ``--format csv|json`` and ``--out PATH``, and all
+but ``oracle`` take ``--precision K``.  CSV uses '.' decimals, ','
+separators, one header row and LF line endings; JSON is a single object
+with "params", "results" and "warnings" entries whose field names match
+the CSV headers.  Output is byte-identical across runs for fixed inputs.
 
 Each subcommand imports the analysis module it calls, and json is
 imported only for JSON output, so a run loads only what it uses.
@@ -97,11 +97,11 @@ def _workers() -> int:
 def _map_chunks(build, count: int):
     """Yield build(start, stop) for each run of CHUNK_ROWS of count rows, in order.
 
-    With W = min(_workers(), chunks) >= 2, chunk k is built by worker
-    k % W: worker 0 is this process, the others are forked children that
-    send their chunks through a pipe each.  A child blocks on its pipe
-    until its chunk is read, so every process holds at most one chunk.
-    Children are killed and reaped when this generator ends or is closed.
+    With W = min(_workers(), chunks), chunk k is built by worker k % W:
+    worker 0 is this process, the others (none if W = 1) forked children
+    that send their chunks through a pipe each.  A child blocks on its
+    pipe until its chunk is read, so every process holds at most one
+    chunk.  Children are killed and reaped when this generator ends or is closed.
     """
     starts = range(0, count, CHUNK_ROWS)
 
@@ -109,11 +109,6 @@ def _map_chunks(build, count: int):
         return build(start, min(start + CHUNK_ROWS, count))
 
     workers = min(_workers(), len(starts))
-    if workers < 2:
-        yield from map(chunk, starts)
-        return
-    import signal
-
     pids, readers = [], []
     try:
         for worker in range(1, workers):
@@ -133,9 +128,12 @@ def _map_chunks(build, count: int):
             worker = k % workers
             yield chunk(start) if worker == 0 else _receive(readers[worker - 1], start, count)
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if pids:  # a run that forks nothing does not load signal
+            import signal
+
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         for reader in readers:
             reader.close()
 
@@ -262,11 +260,13 @@ def _write(chunks, out: str) -> None:
         chunks.close()
 
 
+_precision_option = click.option(
+    "--precision", type=click.IntRange(1, 17), default=10, show_default=True,
+    help="Decimal digits for numeric output.",
+)
+
+
 def _output_options(fn):
-    fn = click.option(
-        "--precision", type=click.IntRange(1, 17), default=10, show_default=True,
-        help="Decimal digits for numeric output.",
-    )(fn)
     fn = click.option(
         "--out", default="-", show_default=True,
         help="Output path, or - for standard output.",
@@ -321,6 +321,7 @@ def _summary_lines(summary: dict, precision: int) -> list[str]:
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               help="Optimizer tolerance on the arc length.")
 @_output_options
+@_precision_option
 def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> None:
     """Tabulate the fairness measures and locate all optima.
 
@@ -361,6 +362,7 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
 @click.option("--method", type=click.Choice(["exact", "closed", "asymptotic"]),
               default="exact", show_default=True, help="Computation route.")
 @_output_options
+@_precision_option
 def cmd_moments(n: int, p: float, dim: int, method: str,
                 fmt: str, out: str, precision: int) -> None:
     """Mean, variance and second moment of the region count."""
@@ -400,6 +402,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
               help="Monte Carlo sample count for the KS experiment.")
 @click.option("--seed", type=int, default=1, show_default=True, help="Stream seed.")
 @_output_options
+@_precision_option
 def cmd_clt(n: int, p: float, samples: int, seed: int,
             fmt: str, out: str, precision: int) -> None:
     """Rinott terms, CLT threshold margin, and an empirical KS distance."""
@@ -432,7 +435,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
 @click.option("--seeds", default="0,1,2,3,4", show_default=True,
               help="Comma-separated seeds, one arrangement each.")
 @_output_options
-def cmd_oracle(n: int, seeds: str, fmt: str, out: str, precision: int) -> None:
+def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
     """Geometric region counts for random arrangements vs the formula.
 
     Exits nonzero if any arrangement cannot be sampled or any count
@@ -457,9 +460,9 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str, precision: int) -> None:
         ok = counted == expected
         all_pass &= ok
         rows.append((n, seed, counted, expected, "pass" if ok else "fail"))
-    params = {"n": n, "seeds": seed_list, "precision": precision}
+    params = {"n": n, "seeds": seed_list}
     _write(_render(ORACLE_HEADER, len(rows), lambda start, stop: rows[start:stop], params, [],
-                   fmt, precision), out)
+                   fmt, precision=None), out)
     if not all_pass:
         sys.exit(1)
 

@@ -26,6 +26,7 @@ the command line, does not load numpy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
@@ -102,6 +103,20 @@ def _exact_sigma(n: int, p: float) -> float:
     return sigma
 
 
+def _refuse_overflow(fn):
+    """fn, with a float64 overflow on a huge cut count n raised as a ValueError naming n."""
+
+    @functools.wraps(fn)
+    def checked(n, *args, **kwargs):
+        try:
+            return fn(n, *args, **kwargs)
+        except OverflowError:
+            raise ValueError(f"cut count {n} is too large for float64 arithmetic") from None
+
+    return checked
+
+
+@_refuse_overflow
 def rinott_terms(n: int, p: float) -> RinottTerms:
     """Stein/Rinott error terms for n cuts kept with probability p.
 
@@ -119,6 +134,7 @@ def rinott_terms(n: int, p: float) -> RinottTerms:
     )
 
 
+@_refuse_overflow
 def threshold_check(n: int, p: float) -> ThresholdCheck:
     """Margin p(1-p)^{1/3} n^{1/9} deciding the CLT regime.
 
@@ -220,6 +236,7 @@ def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
     return invert
 
 
+@_refuse_overflow
 def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     """KS distance to the standard normal of m region counts for n cuts
     kept with probability p, in O(sqrt(n)) memory.

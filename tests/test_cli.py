@@ -711,6 +711,16 @@ def test_oracle_rejects_big_n():
     assert res.exit_code != 0
 
 
+def test_oracle_takes_no_precision():
+    """Every oracle cell is an integer or a word, so --precision would
+    change nothing but its own echo in params; oracle has no such option."""
+    res = invoke("oracle", "--n", "3", "--seeds", "0", "--format", "json")
+    assert json.loads(res.stdout)["params"] == {"n": 3, "seeds": [0]}
+    res = invoke("oracle", "--n", "3", "--seeds", "0", "--precision", "3")
+    assert res.exit_code == 2
+    assert "No such option '--precision'" in res.stderr
+
+
 def test_oracle_rejects_bad_seeds():
     res = invoke("oracle", "--n", "3", "--seeds", "1,zebra")
     assert res.exit_code != 0

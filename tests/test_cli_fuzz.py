@@ -48,14 +48,17 @@ OUTPUT_OPTIONS = [
     # "{tmp}" is a temporary directory; see _check
     Option("--out", st.sampled_from(["-", "{tmp}/out.txt"]),
            st.sampled_from(["/dev/full", "{tmp}", "{tmp}/missing/out.txt"])),
-    Option("--precision", st.integers(1, 17), _bad(0, 18, -3, 10**9)),
 ]
+
+# every subcommand but oracle, whose cells hold no float
+PRECISION = Option("--precision", st.integers(1, 17), _bad(0, 18, -3, 10**9))
 
 COMMANDS = {
     "fairness": [
         Option("--grid", _ints(2, 5000, 2, 982, 2048, 2049),
                _bad(0, 1, -2, MAX_GRID + 1, 10**9, 10**13)),
         Option("--tol", st.one_of(st.floats(1e-15, 1.0), SPECIAL_FLOATS), MALFORMED),
+        PRECISION,
     ],
     "moments": [
         Option("--n", _ints(1, 2000, 1000, 1001, 10**9, 10**52, 10**400), _bad(0, -2), True),
@@ -63,6 +66,7 @@ COMMANDS = {
                _bad(math.nan, math.inf, -0.1, 1.5), True),
         Option("--dim", _ints(1, 10, 2, 3, 10**6, 10**9), _bad(0, -1)),
         Option("--method", st.sampled_from(["exact", "closed", "asymptotic"]), MALFORMED),
+        PRECISION,
     ],
     "clt": [
         Option("--n", _ints(2, 10**7, MAX_CUTS), _bad(0, 1, MAX_CUTS + 1, 10**30), True),
@@ -70,6 +74,7 @@ COMMANDS = {
                                 SPECIAL_FLOATS), MALFORMED, True),
         Option("--samples", st.integers(1, 10**4), _bad(0, -2, MAX_SAMPLES + 1, 10**30)),
         Option("--seed", _ints(-(2**130), 2**130, 0, -1, 2**128), MALFORMED),
+        PRECISION,
     ],
     "oracle": [
         Option("--n", st.integers(1, 10), _bad(0, 11, -2, 10**9), True),

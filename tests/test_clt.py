@@ -113,6 +113,21 @@ def test_rinott_rejects_underflowing_sigma():
         rinott_terms(2, 1e-300)
 
 
+@pytest.mark.parametrize("name, exponent, p", [
+    ("rinott_terms", 400, 0.5),
+    ("threshold_check", 400, 0.5),
+    ("sample_normality", 400, 0.5),
+    ("rinott_terms", 77, 0.5),  # n fits a float, sigma^3 does not
+    ("sample_normality", 77, 0.5),
+    ("rinott_terms", 62, 1e-3),  # sigma^3 fits, sqrt(N D^3) does not
+])
+def test_a_cut_count_that_overflows_float64_is_refused_by_name(name, exponent, p):
+    n = 10**exponent
+    args = (10, 1) if name == "sample_normality" else ()
+    with pytest.raises(ValueError, match=f"cut count {n} is too large for float64"):
+        getattr(clt, name)(n, p, *args)
+
+
 def test_threshold_margin_value():
     check = threshold_check(10**9, 0.5)
     assert check.margin == pytest.approx(0.5 * 0.5 ** (1 / 3) * 10, rel=1e-12)

@@ -71,9 +71,16 @@ def test_sd_closed_form_equivalence():
 
 
 def test_sd_zero_for_perfectly_fair_profile():
+    """Seven equal areas have no absolute deviation.  No arc length gives
+    them, and _sd takes a plain square root: its radicand stays at least
+    pi^2/294, its value at x = pi/3, across the domain."""
     fair = (MEAN_AREA,) * 3
-    assert fairness._sd(*fair) == 0.0
     assert fairness._mad(*fair) == 0.0
+    floor = math.pi**2 / 294 - 1e-15
+    for x in fairness._grid(100_001):
+        triangle, circular_triangle, circular_trapezoid = _areas(x)
+        square_sum = triangle**2 + 3 * circular_triangle**2 + 3 * circular_trapezoid**2
+        assert (square_sum - math.pi**2 / 7) / 7 >= floor, x
 
 
 def test_sd_strictly_decreasing():
@@ -125,6 +132,28 @@ def test_minimize_sd_is_global():
     opt = minimize_sd()
     for x in GRID:
         assert sd(x) >= opt.objective_value - 1e-12
+
+
+def test_bracket_layout_of_each_measure():
+    """The layout _locate_minima relies on: on the bracket grid, sd still
+    falls at its right end and has no interior minimum, mad has two
+    interior minima and -min_piece one, no bracket starts at x = 0, and
+    the local mad minimum is clearly above the global one."""
+    xs = list(fairness._grid(fairness.BRACKET_GRID))
+
+    def layout(f):
+        fs = [f(x) for x in xs]
+        interior = [i for i in range(1, len(xs) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
+        return interior, fs[0] < fs[1], fs[-1] < fs[-2]
+
+    assert layout(sd) == ([], False, True)
+    interior, left, right = layout(mad)
+    assert len(interior) == 2 and not left and not right
+    interior_max, left, right = layout(lambda x: -min_piece(x))
+    assert len(interior_max) == 1 and not left and not right
+    assert 1 not in interior + interior_max
+    best, (local,) = minimize_mad()
+    assert local.objective_value > best.objective_value + 1e-3
 
 
 def test_minimize_mad_global():

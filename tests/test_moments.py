@@ -257,8 +257,9 @@ def test_chebyshev_tail_bounds_empirical_tail():
 
 
 def test_chebyshev_tail_rejects_bad_lambda():
-    with pytest.raises(ValueError):
-        chebyshev_tail(CutModel(10, 0.5, 2), 0.0)
+    for lam in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="deviation must be positive"):
+            chebyshev_tail(CutModel(10, 0.5, 2), lam)
 
 
 def test_chebyshev_tail_beyond_enumeration_uses_closed_form():
