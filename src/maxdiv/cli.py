@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from itertools import chain
 
 import click
 
@@ -39,9 +38,9 @@ CLT_HEADER = (
 )
 ORACLE_HEADER = ("n", "seed", "geometric", "formula", "result")
 
-#: Most grid points ``fairness`` tabulates.  The table takes about 3.8 s
-#: per 10^6 rows on two CPUs of a 2-vCPU x86-64 VM and 6.8 s on one, so
-#: the bound keeps a run near a minute.
+#: Most grid points ``fairness`` tabulates.  The table takes about 3.4 s
+#: per 10^6 rows on two CPUs of a 2-vCPU x86-64 VM and 5 s on one, in a
+#: slow phase of that VM, so the bound keeps a run under a minute.
 MAX_GRID = 10**7
 
 #: Table rows per output chunk.  Each chunk is formatted by one
@@ -50,25 +49,24 @@ CHUNK_ROWS = 2048
 
 
 def _csv_text(value):
-    """A non-float cell as the row template's "%s" should show it."""
+    """A cell as the bytes row template shows it: a bool as true or false,
+    None as nothing and a str as its UTF-8 bytes; a number is unchanged."""
     if isinstance(value, bool):
-        return "true" if value else "false"
-    return "" if value is None else value
+        return b"true" if value else b"false"
+    return value.encode() if isinstance(value, str) else b"" if value is None else value
 
 
-def _csv_template(kinds: tuple, precision: int) -> tuple[str, bool]:
-    """The %-template for a row whose cells have these types.
+def _csv_template(kinds: tuple, precision: int) -> tuple[bytes, bool]:
+    """The bytes %-template for a row whose cells have these types.
 
-    Floats take "%.Kf", which prints the same bytes as f"{v:.Kf}";
-    every other cell takes "%s".  The flag says whether some cell is a
-    bool or None and so must go through _csv_text first.
+    Floats take "%.Kf", which prints the same digits as f"{v:.Kf}", and
+    ints "%d"; a bool, None or str takes "%s".  The flag says whether
+    some cell takes "%s" and so the cells must go through _csv_text.
     """
-    float_spec = f"%.{precision}f"
-    template = ",".join(
-        float_spec if issubclass(kind, float) else "%s" for kind in kinds
-    )
-    needs_text = any(issubclass(kind, bool) or kind is type(None) for kind in kinds)
-    return template, needs_text
+    float_spec = f"%.{precision}f".encode()
+    specs = [float_spec if issubclass(kind, float)  # a bool is an int, and takes "%s"
+             else b"%d" if issubclass(kind, int) and kind is not bool else b"%s" for kind in kinds]
+    return b",".join(specs), b"%s" in specs
 
 
 def _json_cell(value, precision: int):
@@ -105,7 +103,7 @@ def _map_chunks(build, count: int):
     """
     starts = range(0, count, CHUNK_ROWS)
 
-    def chunk(start: int) -> str:
+    def chunk(start: int) -> bytes:
         return build(start, min(start + CHUNK_ROWS, count))
 
     workers = min(_workers(), len(starts))
@@ -139,11 +137,12 @@ def _map_chunks(build, count: int):
 
 
 def _serve(chunk, starts, readers, writer) -> None:
-    """A forked worker: send chunk(start) for each start to the parent, then exit.
+    """A forked worker: send the bytes chunk(start) for each start to the
+    parent, then exit.
 
-    Each chunk goes as its UTF-8 byte count (8 bytes, little-endian,
-    signed) and its bytes; an exception goes as minus the byte count of
-    its message and the message, and ends the worker.  Never returns:
+    Each chunk goes as its byte count (8 bytes, little-endian, signed),
+    then the chunk as it is; an exception goes as minus the byte count of
+    its UTF-8 message and the message, and ends the worker.  Never returns:
     os._exit skips the parent's exit handlers and the flush of its
     inherited buffers (standard output, an --out file), which the
     parent owns.
@@ -153,12 +152,14 @@ def _serve(chunk, starts, readers, writer) -> None:
             reader.close()
         for start in starts:
             try:
-                data = chunk(start).encode()
+                data = chunk(start)
                 size = len(data)
             except Exception as exc:  # the parent reports it as one Error: line
                 data = f"{type(exc).__name__}: {exc}".encode()
                 size = -len(data)
-            writer.write(size.to_bytes(8, "little", signed=True) + data)
+            # two writes: joining them would copy the chunk
+            writer.write(size.to_bytes(8, "little", signed=True))
+            writer.write(data)
             writer.flush()
             if size < 0:
                 break
@@ -166,14 +167,15 @@ def _serve(chunk, starts, readers, writer) -> None:
         os._exit(0)
 
 
-def _receive(reader, start: int, count: int) -> str:
-    """The chunk of rows from start that a worker sent through reader."""
+def _receive(reader, start: int, count: int) -> bytes:
+    """The bytes of the chunk of rows from start that a worker sent
+    through reader, as the worker built them."""
     head = reader.read(8)
     size = int.from_bytes(head, "little", signed=True)
     data = reader.read(abs(size))
     if len(head) == 8 and len(data) == abs(size):
         if size >= 0:
-            return data.decode()
+            return data
         reason = data.decode(errors="replace")
     else:
         reason = "it ended before sending them"
@@ -183,65 +185,71 @@ def _receive(reader, start: int, count: int) -> str:
     )
 
 
-def _render(header, count, rows, params, warnings, fmt, precision, summary=None):
-    """Yield the output text of a table of count rows, chunk by chunk.
+def _render(header, count, cells, params, warnings, fmt, precision, summary=None):
+    """Yield the output bytes of a table of count rows, chunk by chunk.
 
-    rows(start, stop) gives rows start..stop-1; each chunk of CHUNK_ROWS
-    rows is computed and formatted in one piece by _map_chunks, so memory
-    does not grow with the table.  Every row must have the cell types of
-    the first, which fix the CSV template.  The JSON chunks join up to
-    exactly json.dumps(payload, indent=2) + "\n".
+    cells(start, stop) gives rows start..stop-1 as one flat sequence of
+    len(header) cells per row; each chunk of CHUNK_ROWS rows is computed
+    and formatted in one piece by _map_chunks, so memory does not grow
+    with the table.  Every row must have the cell types of the first,
+    which fix the CSV template.  The JSON chunks join up to exactly
+    json.dumps(payload, indent=2) + "\n", UTF-8 encoded.
     """
     width = len(header)
     if fmt == "csv":
 
-        def build(start: int, stop: int) -> str:
-            cells = tuple(chain.from_iterable(rows(start, stop)))
-            spec, needs_text = _csv_template(tuple(map(type, cells[:width])), precision)
-            return (spec + "\n") * (stop - start) % (
-                tuple(map(_csv_text, cells)) if needs_text else cells
+        def build(start: int, stop: int) -> bytes:
+            row_cells = cells(start, stop)
+            spec, needs_text = _csv_template(tuple(map(type, row_cells[:width])), precision)
+            return (spec + b"\n") * (stop - start) % tuple(
+                map(_csv_text, row_cells) if needs_text else row_cells
             )
 
-        yield ",".join(header) + "\n"
+        yield (",".join(header) + "\n").encode()
         yield from _map_chunks(build, count)
         return
     import json
 
     params = {k: _json_cell(v, precision) for k, v in params.items()}
-    yield "{\n" + _json_member("params", params) + ',\n  "results": ['
-    spec = "\n    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in header) + "\n    }"
+    yield ("{\n" + _json_member("params", params) + ',\n  "results": [').encode()
+    members = ",\n".join(f"      {json.dumps(k)}: %s" for k in header)
+    spec = ("\n    {\n" + members + "\n    }").encode()
 
-    def build(start: int, stop: int) -> str:
+    def build(start: int, stop: int) -> bytes:
         # one C-encoder call per chunk; json escapes every control character
         # inside a string, so each "\n" separates two encoded cells
-        cells = chain.from_iterable(rows(start, stop))
-        encoded = json.dumps([_json_cell(v, precision) for v in cells], separators=("\n", ": "))
-        return ",".join([spec] * (stop - start)) % tuple(encoded[1:-1].split("\n"))
+        encoded = json.dumps([_json_cell(v, precision) for v in cells(start, stop)],
+                             separators=("\n", ": ")).encode()
+        return b",".join([spec] * (stop - start)) % tuple(encoded[1:-1].split(b"\n"))
 
-    separator = ""
-    for text in _map_chunks(build, count):
-        yield separator + text
-        separator = ","
+    separator = b""
+    for data in _map_chunks(build, count):
+        yield separator + data
+        separator = b","
     tail = ["\n  ]" if separator else "]", _json_member("warnings", list(warnings))]
     if summary is not None:
         tail.append(_json_member("summary", summary))
-    yield ",\n".join(tail) + "\n}\n"
+    yield (",\n".join(tail) + "\n}\n").encode()
 
 
 def _write(chunks, out: str) -> None:
-    """Write the chunks to out, or to standard output for "-", as they come.
+    """Write the byte chunks to out, or to standard output for "-", as they come.
 
-    A failed write ends the run with one Error: line and exit status 1,
-    and so do a closed pipe and a standard output closed before the run.
-    The chunks generator is closed either way, which ends its workers.
+    Standard output is written through its binary buffer, after any text
+    already written to it.  A failed write ends the run with one Error:
+    line and exit status 1, and so do a closed pipe and a standard output
+    closed before the run.  The chunks generator is closed either way,
+    which ends its workers.
     """
     try:
         if out == "-":
             if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
                 raise click.ClickException("cannot write to standard output: it is closed")
             try:
+                sys.stdout.flush()
                 for chunk in chunks:
-                    click.echo(chunk, nl=False)
+                    sys.stdout.buffer.write(chunk)
+                sys.stdout.flush()
             except OSError as exc:
                 # send what is still buffered to devnull, or the interpreter's
                 # final flush of stdout fails again and prints a traceback
@@ -251,7 +259,7 @@ def _write(chunks, out: str) -> None:
                 raise click.ClickException(f"cannot write to standard output: {exc}")
             return
         try:
-            with open(out, "w", encoding="utf-8", newline="") as handle:
+            with open(out, "wb") as handle:
                 for chunk in chunks:
                     handle.write(chunk)
         except OSError as exc:
@@ -346,8 +354,8 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
     _write(_render(FAIRNESS_HEADER, grid,
-                   lambda start, stop: fairness_mod._rows(grid, start, stop), params, [],
-                   fmt, precision, summary=summary if fmt == "json" else None), out)
+                   lambda lo, hi: fairness_mod._measures(fairness_mod._grid(grid, lo, hi)),
+                   params, [], fmt, precision, summary=summary if fmt == "json" else None), out)
     if fmt == "csv":
         for line in _summary_lines(summary, precision):
             click.echo(line, err=True)
@@ -390,7 +398,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     row = (n, float(p), dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)
     params = {"n": n, "p": float(p), "dim": dim, "method": method, "precision": precision}
-    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: [row], params, [], fmt, precision), out)
+    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, [], fmt, precision), out)
 
 
 @cli.command("clt")
@@ -426,7 +434,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     )
     params = {"n": n, "p": float(p), "samples": samples, "seed": seed,
               "precision": precision}
-    _write(_render(CLT_HEADER, 1, lambda start, stop: [row], params, [], fmt, precision), out)
+    _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, [], fmt, precision), out)
 
 
 @cli.command("oracle")
@@ -450,7 +458,7 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
     if not seed_list:
         raise click.ClickException("--seeds produced an empty list")
     expected = geometry.max_regions(n, 2)
-    rows = []
+    cells = []
     all_pass = True
     for seed in seed_list:
         try:
@@ -459,9 +467,11 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
             raise click.ClickException(str(exc))
         ok = counted == expected
         all_pass &= ok
-        rows.append((n, seed, counted, expected, "pass" if ok else "fail"))
+        cells += (n, seed, counted, expected, "pass" if ok else "fail")
     params = {"n": n, "seeds": seed_list}
-    _write(_render(ORACLE_HEADER, len(rows), lambda start, stop: rows[start:stop], params, [],
+    width = len(ORACLE_HEADER)
+    _write(_render(ORACLE_HEADER, len(seed_list),
+                   lambda start, stop: cells[start * width:stop * width], params, [],
                    fmt, precision=None), out)
     if not all_pass:
         sys.exit(1)

@@ -188,18 +188,15 @@ def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterat
 
     Uniform number i of a counter-based stream keyed by the seed is
     inverted through the windowed CDF.  The chunks hold at most
-    CHUNK_DRAWS indices, and the arguments, p strictly inside (0, 1)
-    among them, are checked before anything is built.
+    CHUNK_DRAWS indices.  The caller has checked n >= 1 and p strictly
+    inside (0, 1); n <= MAX_CUTS and m are checked before anything is built.
     """
-    if n < 1:
-        raise ValueError(f"cut count must be positive, got {n}")
     if n > MAX_CUTS:
         raise ValueError(
             f"cut count {n} exceeds {MAX_CUTS}, the largest whose region counts fit in int64"
         )
     if not 1 <= m <= MAX_SAMPLES:
         raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
-    _require_nondegenerate(p)
     import numpy as np
 
     lo, cdf = _binomial_cdf(n, p)

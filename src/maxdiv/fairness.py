@@ -16,13 +16,17 @@ golden-section search handles as long as the bracket is unimodal.
 Maximization runs the same recipe on the negated measure.
 
 The table the CLI prints holds, per grid point, the three class areas
-and the three measures; ``_rows`` computes any range of its rows.
+and the three measures.  ``_measures`` computes its rows at any arc
+lengths as one flat list of floats, which the CLI formats chunk by
+chunk; the public measures and the optimizers' bracket grid read the
+same cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 from maxdiv.geometry import ARC_MAX, _areas, _check_arc
@@ -67,23 +71,9 @@ def _grid(points: int, start: int = 0, stop: int | None = None):
     )
 
 
-def _sd(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
-    square_sum = triangle**2 + 3.0 * circular_triangle**2 + 3.0 * circular_trapezoid**2
-    # the radicand is at least pi^2/294 on [0, pi/3]
-    return math.sqrt((square_sum - _PI2_7) / 7.0)
-
-
-def _mad(triangle: float, circular_triangle: float, circular_trapezoid: float) -> float:
-    return (
-        abs(triangle - MEAN_AREA)
-        + 3.0 * abs(circular_triangle - MEAN_AREA)
-        + 3.0 * abs(circular_trapezoid - MEAN_AREA)
-    ) / 7.0
-
-
 def sd(x: float) -> float:
     """Standard deviation of the seven areas at arc length x."""
-    return _sd(*_areas(x))
+    return _measures((x,))[4]
 
 
 def sd_closed_form(x: float) -> float:
@@ -108,7 +98,7 @@ def sd_closed_form(x: float) -> float:
 
 def mad(x: float) -> float:
     """Mean absolute deviation of the seven areas at arc length x."""
-    return _mad(*_areas(x))
+    return _measures((x,))[5]
 
 
 def mad_expanded(x: float) -> float:
@@ -132,7 +122,7 @@ def mad_expanded(x: float) -> float:
 
 def min_piece(x: float) -> float:
     """Area of the smallest piece at arc length x."""
-    return min(_areas(x))
+    return _measures((x,))[6]
 
 
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
@@ -157,8 +147,16 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2
 
 
-def _locate_minima(f, tol: float) -> list[Optimum]:
-    """Bracket-and-refine minimization of f over [0, pi/3].
+@lru_cache(maxsize=None)
+def _bracket_table() -> tuple[float, ...]:
+    """``_measures`` over the bracket grid, computed once per process and
+    shared by the three optimizers."""
+    return tuple(_measures(_grid(BRACKET_GRID)))
+
+
+def _locate_minima(f, fs, tol: float) -> list[Optimum]:
+    """Bracket-and-refine minimization of f over [0, pi/3], where fs holds
+    f at the BRACKET_GRID points of the bracket grid.
 
     Returns every detected minimum as an Optimum, best first.  Each
     interior grid minimum brackets one, and so does the last grid step
@@ -168,8 +166,7 @@ def _locate_minima(f, tol: float) -> list[Optimum]:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    xs = list(_grid(BRACKET_GRID))
-    fs = [f(x) for x in xs]
+    xs = _bracket_table()[::7]
 
     brackets = [
         (xs[i - 1], xs[i + 1])
@@ -199,7 +196,7 @@ def minimize_sd(tol: float = 1e-10) -> Optimum:
     sits on the boundary at x = pi/3, where the central triangle
     vanishes and six pieces share everything.
     """
-    return _locate_minima(sd, tol)[0]
+    return _locate_minima(sd, _bracket_table()[4::7], tol)[0]
 
 
 def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, list[Optimum]]:
@@ -208,7 +205,7 @@ def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, list[Optimum]]:
     Returns (global_minimum, other_minima), 0.126 and [0.304]: they never
     tie, and each sits on a kink where some piece crosses the fair share.
     """
-    best, *others = _locate_minima(mad, tol)
+    best, *others = _locate_minima(mad, _bracket_table()[5::7], tol)
     return best, others
 
 
@@ -224,25 +221,29 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
             f"tolerance must be positive and finite and tol/2 must not underflow"
             f" to 0.0, got {tol!r}"
         )
-    best = _locate_minima(lambda x: -min_piece(x), tol / 2)[0]
+    fs = [-v for v in _bracket_table()[6::7]]
+    best = _locate_minima(lambda x: -min_piece(x), fs, tol / 2)[0]
     return Optimum(best.x_star, -best.objective_value, best.at_boundary)
 
 
-def _measures(x: float) -> tuple[float, ...]:
-    """One table row at arc length x: x, the areas alpha1, alpha2 and
-    alpha3 of the central triangle, of each circular triangle and of
-    each circular trapezoid, then sd, mad and min_piece."""
-    a1, a2, a3 = _areas(x)
-    return x, a1, a2, a3, _sd(a1, a2, a3), _mad(a1, a2, a3), min(a1, a2, a3)
+def _measures(xs) -> list[float]:
+    """The table rows at the arc lengths xs, flat: for each x, the 7 cells
+    x, the areas alpha1, alpha2 and alpha3 of the central triangle, of
+    each circular triangle and of each circular trapezoid, then sd, mad
+    and min_piece.  The one place these three measures are computed.
 
-
-def _rows(grid_points: int, start: int = 0, stop: int | None = None):
-    """Rows start..stop-1 (all by default) of the table of ``_measures``
-    at grid_points arc lengths evenly spaced over [0, pi/3], one at a time.
-
-    Only the requested rows are computed, so the CLI can stream the
-    table and hand disjoint row ranges to separate processes; rows are
-    independent, so the output does not depend on that schedule.  The
-    caller checks that grid_points is at least 2.
+    Rows are independent, so the CLI hands disjoint ranges of the grid to
+    separate processes and the table does not depend on that schedule.
     """
-    return map(_measures, _grid(grid_points, start, stop))
+    areas, sqrt, mean = _areas, math.sqrt, MEAN_AREA
+    cells: list[float] = []
+    for x in xs:
+        a1, a2, a3 = areas(x)
+        cells += (
+            x, a1, a2, a3,
+            # the radicand is at least pi^2/294 on [0, pi/3]
+            sqrt((a1**2 + 3.0 * a2**2 + 3.0 * a3**2 - _PI2_7) / 7.0),
+            (abs(a1 - mean) + 3.0 * abs(a2 - mean) + 3.0 * abs(a3 - mean)) / 7.0,
+            min(a1, a2, a3),
+        )
+    return cells

@@ -17,7 +17,7 @@ from maxdiv import cli as cli_module
 from maxdiv import moments as moments_module
 from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, cli
 from maxdiv.clt import MAX_CUTS
-from maxdiv.fairness import _rows
+from maxdiv.fairness import _grid, _measures
 from maxdiv.moments import RegionMoments
 
 # Some tests fork this process, which may hold the OpenBLAS threads that
@@ -28,6 +28,17 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 runner = CliRunner()
+
+
+def _rows(grid):
+    """The rows of `fairness --grid G`, one list of 7 cells each."""
+    cells = _measures(_grid(grid))
+    return [cells[i:i + 7] for i in range(0, len(cells), 7)]
+
+
+def _flat(rows):
+    """cells(start, stop) for _render over these rows."""
+    return lambda start, stop: [cell for row in rows[start:stop] for cell in row]
 
 
 def invoke(*args, env=None):
@@ -70,19 +81,37 @@ def test_fairness_json_schema():
     assert payload["warnings"] == []
 
 
-def test_fairness_fine_output_digest():
+FAIRNESS_FINE_CSV_SHA256 = "aac7d800d4e0ce6d505aef09845fcf0a4a381c275e51074a85103740c191927a"
+
+
+def test_fairness_fine_output_digest(tmp_path):
     """`fairness --grid 100000` is byte-identical to the dataclass-based
-    table and per-cell CSV renderer it replaced; digests recorded there."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--tol", "1e-10"],
-        capture_output=True, check=True,
-    )
-    assert hashlib.sha256(proc.stdout).hexdigest() == (
-        "aac7d800d4e0ce6d505aef09845fcf0a4a381c275e51074a85103740c191927a"
-    )
+    table and per-cell CSV renderer it replaced; digests recorded there.
+    The same bytes go to an --out file."""
+    argv = [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--tol", "1e-10"]
+    proc = subprocess.run(argv, capture_output=True, check=True)
+    assert hashlib.sha256(proc.stdout).hexdigest() == FAIRNESS_FINE_CSV_SHA256
     assert hashlib.sha256(proc.stderr).hexdigest() == (
         "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
     )
+    target = tmp_path / "table.csv"
+    out = subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
+    assert out.stdout == b""
+    assert out.stderr == proc.stderr
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == FAIRNESS_FINE_CSV_SHA256
+
+
+def test_fairness_json_output_digest():
+    """`fairness --grid 20000 --format json`, digest recorded from the
+    renderer that built str chunks and wrote them through click.echo."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "fairness", "--grid", "20000", "--format", "json"],
+        capture_output=True, check=True,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "91da4cc6410044abbc81eba4a04c32003c4a268f12214595a8b201cfa5464754"
+    )
+    assert proc.stderr == b""
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -145,8 +174,8 @@ def test_fairness_json_stream_matches_json_dumps(grid):
 def test_json_render_matches_json_dumps_for_any_cells(rows):
     header = ("i", "text", "flag", "maybe", "value")
     params = {"n": 3, "seeds": [0, 1], "p": 0.123456789}
-    text = "".join(cli_module._render(header, len(rows), lambda start, stop: rows[start:stop], params,
-                                      ["w"], "json", 4, summary={"k": [1.5]}))
+    data = b"".join(cli_module._render(header, len(rows), _flat(rows), params,
+                                       ["w"], "json", 4, summary={"k": [1.5]}))
     payload = {
         "params": {"n": 3, "seeds": [0, 1], "p": 0.1235},
         "results": [
@@ -156,15 +185,17 @@ def test_json_render_matches_json_dumps_for_any_cells(rows):
         "warnings": ["w"],
         "summary": {"k": [1.5]},
     }
-    assert text == json.dumps(payload, indent=2) + "\n"
+    assert data == (json.dumps(payload, indent=2) + "\n").encode()
 
 
 def test_csv_render_maps_bool_and_none_cells():
-    rows = [(1, True, None, 0.25)] * (CHUNK_ROWS + 2)
-    chunks = list(cli_module._render(("a", "b", "c", "d"), len(rows), lambda start, stop: rows[start:stop],
+    rows = [(1, True, None, 0.25, "pass", False, "\u00e9")] * (CHUNK_ROWS + 2)
+    chunks = list(cli_module._render(("a", "b", "c", "d", "e", "f", "g"), len(rows), _flat(rows),
                                      {}, [], "csv", 3))
     assert len(chunks) == 3  # the header, one full chunk, one short chunk
-    assert "".join(chunks) == "a,b,c,d\n" + "1,true,,0.250\n" * (CHUNK_ROWS + 2)
+    assert b"".join(chunks) == (
+        b"a,b,c,d,e,f,g\n" + b"1,true,,0.250,pass,false,\xc3\xa9\n" * (CHUNK_ROWS + 2)
+    )
 
 
 @pytest.fixture
@@ -234,14 +265,14 @@ def test_fairness_output_is_the_same_on_any_worker_count(monkeypatch, forks, tmp
 def test_fairness_worker_failure_ends_in_one_error_line(monkeypatch, forks, failure, reason):
     from maxdiv import fairness
 
-    rows = fairness._rows
+    grid = fairness._grid
 
-    def failing_rows(grid, start, stop):
+    def failing_grid(points, start=0, stop=None):
         if start == CHUNK_ROWS:
             failure()
-        return rows(grid, start, stop)
+        return grid(points, start, stop)
 
-    monkeypatch.setattr(fairness, "_rows", failing_rows)
+    monkeypatch.setattr(fairness, "_grid", failing_grid)
     monkeypatch.setattr(cli_module, "_workers", lambda: 2)
     res = invoke("fairness", "--grid", str(3 * CHUNK_ROWS))
     assert _single_error_line(res)

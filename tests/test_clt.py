@@ -34,7 +34,13 @@ KS_SAMPLES = 10**5
 
 def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
     """Reference sampler: the m region counts of ``sample_normality``'s
-    draws, held in full."""
+    draws, held in full.  Like ``sample_normality``, it refuses n < 1 and
+    a degenerate p before drawing; a cut or sample count beyond its limit
+    is named first, by ``_window_draws``."""
+    if n < 1:
+        raise ValueError(f"cut count must be positive, got {n}")
+    if n <= MAX_CUTS and 1 <= m <= MAX_SAMPLES:
+        clt._require_nondegenerate(p)
     lo, _, chunks = clt._window_draws(n, p, m, seed)
     x = lo + np.concatenate(list(chunks), dtype=np.int64)
     return 1 + x + x * (x - 1) // 2
@@ -171,7 +177,7 @@ def test_degenerate_probability_is_called_degenerate(p):
 def test_samples_degenerate_probabilities():
     for p in (0.0, 1.0):
         with pytest.raises(ValueError, match="degenerate"):
-            sample_region_counts(6, p, 50, seed=0)
+            clt.sample_normality(6, p, 50, 0)
 
 
 def test_samples_deterministic():

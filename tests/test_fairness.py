@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from maxdiv import fairness
-from maxdiv.cli import cli
+from maxdiv.cli import CHUNK_ROWS, cli
 from maxdiv.fairness import (
     ARC_MAX,
     MEAN_AREA,
@@ -43,6 +43,25 @@ def seven_value_mad(x):
     return sum(abs(a - MEAN_AREA) for a in seven_areas(x)) / 7
 
 
+def reference_row(x):
+    """Oracle: one table row, from the three areas and the stated formulas
+    sd = sqrt((sum of squared areas - pi^2/7) / 7), mad = mean |area - pi/7|
+    and min_piece = the smallest area."""
+    a1, a2, a3 = _areas(x)
+    return [
+        x, a1, a2, a3,
+        math.sqrt((a1**2 + 3.0 * a2**2 + 3.0 * a3**2 - math.pi**2 / 7.0) / 7.0),
+        (abs(a1 - MEAN_AREA) + 3.0 * abs(a2 - MEAN_AREA) + 3.0 * abs(a3 - MEAN_AREA)) / 7.0,
+        min(a1, a2, a3),
+    ]
+
+
+def table_rows(grid):
+    """The rows of `fairness --grid G`, one list of 7 cells each."""
+    cells = fairness._measures(fairness._grid(grid))
+    return [cells[i:i + 7] for i in range(0, len(cells), 7)]
+
+
 def bisect_equal_triangles(tol=1e-12):
     """Oracle: arc length where central and circular triangle areas cross."""
     lo, hi = 0.0, ARC_MAX
@@ -70,12 +89,15 @@ def test_sd_closed_form_equivalence():
         assert abs(sd(x) - sd_closed_form(x)) <= 1e-10
 
 
-def test_sd_zero_for_perfectly_fair_profile():
+def test_sd_zero_for_perfectly_fair_profile(monkeypatch):
     """Seven equal areas have no absolute deviation.  No arc length gives
-    them, and _sd takes a plain square root: its radicand stays at least
-    pi^2/294, its value at x = pi/3, across the domain."""
-    fair = (MEAN_AREA,) * 3
-    assert fairness._mad(*fair) == 0.0
+    them, and sd takes a plain square root: its radicand stays at least
+    pi^2/294, its value at x = pi/3, across the domain.  So the kernel
+    sees equal areas with pi^2/7 zeroed, which keeps that root real."""
+    with monkeypatch.context() as patch:
+        patch.setattr(fairness, "_areas", lambda x: (MEAN_AREA,) * 3)
+        patch.setattr(fairness, "_PI2_7", 0.0)
+        assert fairness._measures((0.0,))[5] == 0.0
     floor = math.pi**2 / 294 - 1e-15
     for x in fairness._grid(100_001):
         triangle, circular_triangle, circular_trapezoid = _areas(x)
@@ -125,7 +147,7 @@ def test_minimize_sd_boundary_optimum():
     assert opt.objective_value == pytest.approx(math.pi / math.sqrt(294), abs=1e-9)
     # the global minimum ranks first among the minima located
     assert all(opt.objective_value <= other.objective_value
-               for other in fairness._locate_minima(sd, 1e-10))
+               for other in fairness._locate_minima(sd, fairness._bracket_table()[4::7], 1e-10))
 
 
 def test_minimize_sd_is_global():
@@ -139,17 +161,21 @@ def test_bracket_layout_of_each_measure():
     falls at its right end and has no interior minimum, mad has two
     interior minima and -min_piece one, no bracket starts at x = 0, and
     the local mad minimum is clearly above the global one."""
-    xs = list(fairness._grid(fairness.BRACKET_GRID))
+    table = fairness._bracket_table()
+    xs = table[::7]
+    assert xs == tuple(fairness._grid(fairness.BRACKET_GRID))
+    assert table[4::7] == tuple(map(sd, xs))
+    assert table[5::7] == tuple(map(mad, xs))
+    assert table[6::7] == tuple(map(min_piece, xs))
 
-    def layout(f):
-        fs = [f(x) for x in xs]
+    def layout(fs):
         interior = [i for i in range(1, len(xs) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
         return interior, fs[0] < fs[1], fs[-1] < fs[-2]
 
-    assert layout(sd) == ([], False, True)
-    interior, left, right = layout(mad)
+    assert layout(table[4::7]) == ([], False, True)
+    interior, left, right = layout(table[5::7])
     assert len(interior) == 2 and not left and not right
-    interior_max, left, right = layout(lambda x: -min_piece(x))
+    interior_max, left, right = layout([-v for v in table[6::7]])
     assert len(interior_max) == 1 and not left and not right
     assert 1 not in interior + interior_max
     best, (local,) = minimize_mad()
@@ -258,16 +284,26 @@ def test_scan_rows_equal_the_public_measures():
     one-measure-at-a-time routes."""
     mad_global, (mad_local,) = minimize_mad()
     optima = [mad_global.x_star, mad_local.x_star, maximize_min_piece().x_star]
-    for row in list(fairness._rows(1001)) + [fairness._measures(x) for x in optima]:
+    for row in table_rows(1001) + [fairness._measures((x,)) for x in optima]:
         x = row[0]
-        areas = _areas(x)
-        assert row == (x, *areas, sd(x), mad(x), min_piece(x))
-        assert row[4:] == (fairness._sd(*areas), fairness._mad(*areas), min(areas))
+        assert row == [x, *_areas(x), sd(x), mad(x), min_piece(x)]
+        assert row == reference_row(x)
+
+
+@pytest.mark.parametrize("grid", [2, 982, 1963, 1996, 3925, 3958, 3991, 100_000])
+def test_measures_match_the_reference_row_bit_for_bit(grid):
+    """The kernel, over the chunks the CLI asks for, gives every row of
+    `fairness --grid G` exactly as reference_row writes it.  Below 10^5,
+    the grids are 2 and those whose last point ARC_MAX * (g - 1) / (g - 1)
+    would round past pi/3."""
+    cells = [cell for start in range(0, grid, CHUNK_ROWS)
+             for cell in fairness._measures(fairness._grid(grid, start, min(start + CHUNK_ROWS, grid)))]
+    assert cells == [cell for x in fairness._grid(grid) for cell in reference_row(x)]
 
 
 def test_scan_endpoints_and_length():
-    assert [row[0] for row in fairness._rows(2)] == [0.0, ARC_MAX]
-    assert len(list(fairness._rows(1000))) == 1000
+    assert [row[0] for row in table_rows(2)] == [0.0, ARC_MAX]
+    assert len(table_rows(1000)) == 1000
 
 
 def test_scan_rejects_tiny_grid():
@@ -297,13 +333,13 @@ def test_grid_pieces_join_up_to_the_grid():
 
 
 def test_scan_rows_conserve_area():
-    for _, alpha1, alpha2, alpha3, *_ in fairness._rows(257):
+    for _, alpha1, alpha2, alpha3, *_ in table_rows(257):
         total = alpha1 + 3.0 * alpha2 + 3.0 * alpha3
         assert total == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_scan_deterministic():
-    assert list(fairness._rows(100)) == list(fairness._rows(100))
+    assert table_rows(100) == table_rows(100)
 
 
 def test_optimum_is_plain_data():
