@@ -1,4 +1,4 @@
-"""Command-line front end: plot-ready CSV or JSON for every analysis.
+"""Maximal disk division on the command line: CSV or JSON for every analysis.
 
 Four subcommands cover the analyses end to end:
 
@@ -13,6 +13,10 @@ separators, one header row and LF line endings; JSON is a single object
 with "params", "results" and "warnings" entries whose field names match
 the CSV headers.  Output is byte-identical across runs for fixed inputs.
 
+The options of each subcommand are one table in COMMANDS, read by a
+small parser on the standard library alone; ``--help`` prints them.  The
+exit status is 0 for success, 1 for a failed run and 2 for a usage
+error, and each failure writes one "Error:" line to standard error.
 Each subcommand imports the analysis module it calls, and json is
 imported only for JSON output, so a run loads only what it uses.
 """
@@ -22,8 +26,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-
-import click
+from types import SimpleNamespace
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES
 
@@ -46,6 +49,15 @@ MAX_GRID = 10**7
 #: Table rows per output chunk.  Each chunk is formatted by one
 #: %-template and written at once, so memory stays flat at any --grid.
 CHUNK_ROWS = 2048
+
+
+class CliError(Exception):
+    """A refused run: one "Error:" line on standard error and exit status
+    1, or 2 for a usage error."""
+
+    def __init__(self, message: str, status: int = 1):
+        super().__init__(message)
+        self.status = status
 
 
 def _csv_text(value):
@@ -120,7 +132,7 @@ def _map_chunks(build, count: int):
                     if pid == 0:
                         _serve(chunk, starts[worker::workers], readers, writer)
             except OSError as exc:
-                raise click.ClickException(f"cannot start a worker process: {exc}")
+                raise CliError(f"cannot start a worker process: {exc}")
             pids.append(pid)
         for k, start in enumerate(starts):
             worker = k % workers
@@ -180,7 +192,7 @@ def _receive(reader, start: int, count: int) -> bytes:
     else:
         reason = "it ended before sending them"
     stop = min(start + CHUNK_ROWS, count)
-    raise click.ClickException(
+    raise CliError(
         f"the worker process building table rows {start}..{stop - 1} failed: {reason}"
     )
 
@@ -244,7 +256,7 @@ def _write(chunks, out: str) -> None:
     try:
         if out == "-":
             if sys.stdout is None:  # the interpreter started with file descriptor 1 closed
-                raise click.ClickException("cannot write to standard output: it is closed")
+                raise CliError("cannot write to standard output: it is closed")
             try:
                 sys.stdout.flush()
                 for chunk in chunks:
@@ -256,40 +268,16 @@ def _write(chunks, out: str) -> None:
                 devnull = os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, sys.stdout.fileno())
                 os.close(devnull)
-                raise click.ClickException(f"cannot write to standard output: {exc}")
+                raise CliError(f"cannot write to standard output: {exc}")
             return
         try:
             with open(out, "wb") as handle:
                 for chunk in chunks:
                     handle.write(chunk)
         except OSError as exc:
-            raise click.ClickException(f"cannot write {out!r}: {exc}")
+            raise CliError(f"cannot write {out!r}: {exc}")
     finally:
         chunks.close()
-
-
-_precision_option = click.option(
-    "--precision", type=click.IntRange(1, 17), default=10, show_default=True,
-    help="Decimal digits for numeric output.",
-)
-
-
-def _output_options(fn):
-    fn = click.option(
-        "--out", default="-", show_default=True,
-        help="Output path, or - for standard output.",
-    )(fn)
-    fn = click.option(
-        "--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-        show_default=True, help="Output format.",
-    )(fn)
-    return fn
-
-
-@click.group()
-def cli() -> None:
-    """Maximal disk division: fairness scans, region-count moments,
-    normality diagnostics, and a geometric counting oracle."""
 
 
 def _optimum_entry(opt, precision: int) -> dict:
@@ -323,14 +311,7 @@ def _summary_lines(summary: dict, precision: int) -> list[str]:
     return lines
 
 
-@cli.command("fairness")
-@click.option("--grid", type=click.IntRange(2, MAX_GRID), default=1000, show_default=True,
-              help="Number of uniformly spaced arc lengths to tabulate.")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="Optimizer tolerance on the arc length.")
-@_output_options
-@_precision_option
-def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> None:
+def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -> None:
     """Tabulate the fairness measures and locate all optima.
 
     The table holds one row per grid point; the optimum summary goes to
@@ -338,14 +319,12 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     """
     from maxdiv import fairness as fairness_mod
 
-    if not 0.0 < tol < math.inf:
-        raise click.ClickException(f"--tol must be positive and finite, got {tol}")
     try:
         sd_min = fairness_mod.minimize_sd(tol)
         mad_global, mad_locals = fairness_mod.minimize_mad(tol)
         maximin = fairness_mod.maximize_min_piece(tol)
     except ValueError as exc:
-        raise click.ClickException(str(exc))
+        raise CliError(str(exc))
     summary = {
         "sd_min": _optimum_entry(sd_min, precision),
         "mad_global": _optimum_entry(mad_global, precision),
@@ -355,24 +334,14 @@ def cmd_fairness(grid: int, tol: float, fmt: str, out: str, precision: int) -> N
     params = {"grid": grid, "tol": tol, "precision": precision}
     _write(_render(FAIRNESS_HEADER, grid,
                    lambda lo, hi: fairness_mod._measures(fairness_mod._grid(grid, lo, hi)),
-                   params, [], fmt, precision, summary=summary if fmt == "json" else None), out)
-    if fmt == "csv":
+                   params, [], format, precision, summary=summary if format == "json" else None), out)
+    if format == "csv":
         for line in _summary_lines(summary, precision):
-            click.echo(line, err=True)
+            print(line, file=sys.stderr)
 
 
-@cli.command("moments")
-@click.option("--n", type=click.IntRange(1), required=True, help="Number of attempted cuts.")
-@click.option("--p", type=click.FloatRange(0.0, 1.0), required=True,
-              help="Probability each cut succeeds.")
-@click.option("--dim", type=click.IntRange(1), default=2, show_default=True,
-              help="Ambient dimension.")
-@click.option("--method", type=click.Choice(["exact", "closed", "asymptotic"]),
-              default="exact", show_default=True, help="Computation route.")
-@_output_options
-@_precision_option
 def cmd_moments(n: int, p: float, dim: int, method: str,
-                fmt: str, out: str, precision: int) -> None:
+                format: str, out: str, precision: int) -> None:
     """Mean, variance and second moment of the region count."""
     from maxdiv import moments as moments_mod
 
@@ -384,35 +353,25 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     try:
         bundle = route(moments_mod.CutModel(n, p, dim))
     except ValueError as exc:  # a bad p, or a route that cannot take this model
-        raise click.ClickException(str(exc))
+        raise CliError(str(exc))
     except OverflowError as exc:
-        raise click.ClickException(f"--n {n} is too large for the {method} route: {exc}")
+        raise CliError(f"--n {n} is too large for the {method} route: {exc}")
     for name in ("mean", "variance", "second_moment"):
         value = getattr(bundle, name)
         if value is not None and not math.isfinite(value):
-            raise click.ClickException(
+            raise CliError(
                 f"the {method} route's {name} is {value}, not a finite number,"
                 f" at --n {n} --p {p} --dim {dim}"
             )
     window = math.sqrt(bundle.variance)
-    row = (n, float(p), dim, bundle.method, bundle.mean, bundle.variance,
+    row = (n, p, dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)
-    params = {"n": n, "p": float(p), "dim": dim, "method": method, "precision": precision}
-    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, [], fmt, precision), out)
+    params = {"n": n, "p": p, "dim": dim, "method": method, "precision": precision}
+    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
 
 
-@cli.command("clt")
-@click.option("--n", type=click.IntRange(2, MAX_CUTS), required=True,
-              help="Number of attempted cuts.")
-@click.option("--p", type=float, required=True,
-              help="Probability each cut succeeds; must be strictly inside (0, 1).")
-@click.option("--samples", type=click.IntRange(1, MAX_SAMPLES), default=10**5, show_default=True,
-              help="Monte Carlo sample count for the KS experiment.")
-@click.option("--seed", type=int, default=1, show_default=True, help="Stream seed.")
-@_output_options
-@_precision_option
 def cmd_clt(n: int, p: float, samples: int, seed: int,
-            fmt: str, out: str, precision: int) -> None:
+            format: str, out: str, precision: int) -> None:
     """Rinott terms, CLT threshold margin, and an empirical KS distance."""
     # numpy's import starts one OpenBLAS worker thread per core, which
     # costs CPU time although clt does no linear algebra; one thread
@@ -425,25 +384,18 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
         check = clt_mod.threshold_check(n, p)
         normality = clt_mod.sample_normality(n, p, samples, seed)
     except ValueError as exc:
-        raise click.ClickException(str(exc))
+        raise CliError(str(exc))
     row = (
-        n, float(p), samples, seed,
+        n, p, samples, seed,
         terms.term1, terms.term2, terms.term3, terms.max_term,
         check.margin, check.in_clt_regime,
         normality.ks_distance, normality.mean, normality.sigma,
     )
-    params = {"n": n, "p": float(p), "samples": samples, "seed": seed,
-              "precision": precision}
-    _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, [], fmt, precision), out)
+    params = {"n": n, "p": p, "samples": samples, "seed": seed, "precision": precision}
+    _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
 
 
-@cli.command("oracle")
-@click.option("--n", type=click.IntRange(1, 10), required=True,
-              help="Chords per arrangement (at most 10).")
-@click.option("--seeds", default="0,1,2,3,4", show_default=True,
-              help="Comma-separated seeds, one arrangement each.")
-@_output_options
-def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
+def cmd_oracle(n: int, seeds: str, format: str, out: str) -> int:
     """Geometric region counts for random arrangements vs the formula.
 
     Exits nonzero if any arrangement cannot be sampled or any count
@@ -454,9 +406,9 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
     try:
         seed_list = [int(token) for token in seeds.split(",") if token.strip()]
     except ValueError:
-        raise click.ClickException(f"--seeds must be comma-separated integers, got {seeds!r}")
+        raise CliError(f"--seeds must be comma-separated integers, got {seeds!r}")
     if not seed_list:
-        raise click.ClickException("--seeds produced an empty list")
+        raise CliError("--seeds produced an empty list")
     expected = geometry.max_regions(n, 2)
     cells = []
     all_pass = True
@@ -464,7 +416,7 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
         try:
             counted = geometry.count_regions_geometric(geometry.random_chord_set(n, seed))
         except geometry.RetryBudgetError as exc:
-            raise click.ClickException(str(exc))
+            raise CliError(str(exc))
         ok = counted == expected
         all_pass &= ok
         cells += (n, seed, counted, expected, "pass" if ok else "fail")
@@ -472,14 +424,140 @@ def cmd_oracle(n: int, seeds: str, fmt: str, out: str) -> None:
     width = len(ORACLE_HEADER)
     _write(_render(ORACLE_HEADER, len(seed_list),
                    lambda start, stop: cells[start * width:stop * width], params, [],
-                   fmt, precision=None), out)
-    if not all_pass:
-        sys.exit(1)
+                   format, precision=None), out)
+    return 0 if all_pass else 1
 
 
-def main() -> None:
-    cli()
+def _number(kind, lo=None, hi=None):
+    """An option converter to kind, int or float, that refuses a value
+    outside [lo, hi]; nan compares false, so it reaches the command."""
+    name = "integer" if kind is int else "float"
+    bounds = "" if lo is None else f" x>={lo}" if hi is None else f" {lo}<=x<={hi}"
 
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"{text!r} is not a valid {name}.") from None
+        if bounds and (value < lo or hi is not None and value > hi):
+            raise ValueError(f"{value} is not in the range{bounds}.")
+        return value
+
+    convert.metavar = name.upper() + bounds
+    return convert
+
+
+def _choice(*choices: str):
+    def convert(text: str) -> str:
+        if text in choices:
+            return text
+        raise ValueError(f"{text!r} is not one of {', '.join(map(repr, choices))}.")
+
+    convert.metavar = f"[{'|'.join(choices)}]"
+    return convert
+
+
+# Each subcommand's options: name -> (converter, default, required, help).
+# A converter raises ValueError for a value it refuses; str takes any text.
+_OUTPUT = {"--format": (_choice("csv", "json"), "csv", False, "Output format."),
+           "--out": (str, "-", False, "Output path, or - for standard output.")}
+_PRECISION = {"--precision": (_number(int, 1, 17), 10, False, "Decimal digits for numeric output.")}
+COMMANDS = {
+    "fairness": (cmd_fairness, {
+        "--grid": (_number(int, 2, MAX_GRID), 1000, False,
+                   "Number of uniformly spaced arc lengths to tabulate."),
+        "--tol": (_number(float), 1e-10, False, "Optimizer tolerance on the arc length."),
+        **_OUTPUT, **_PRECISION}),
+    "moments": (cmd_moments, {
+        "--n": (_number(int, 1), None, True, "Number of attempted cuts."),
+        "--p": (_number(float, 0.0, 1.0), None, True, "Probability each cut succeeds."),
+        "--dim": (_number(int, 1), 2, False, "Ambient dimension."),
+        "--method": (_choice("exact", "closed", "asymptotic"), "exact", False, "Computation route."),
+        **_OUTPUT, **_PRECISION}),
+    "clt": (cmd_clt, {
+        "--n": (_number(int, 2, MAX_CUTS), None, True, "Number of attempted cuts."),
+        "--p": (_number(float), None, True,
+                "Probability each cut succeeds; must be strictly inside (0, 1)."),
+        "--samples": (_number(int, 1, MAX_SAMPLES), 10**5, False,
+                      "Monte Carlo sample count for the KS experiment."),
+        "--seed": (_number(int), 1, False, "Stream seed."),
+        **_OUTPUT, **_PRECISION}),
+    "oracle": (cmd_oracle, {
+        "--n": (_number(int, 1, 10), None, True, "Chords per arrangement (at most 10)."),
+        "--seeds": (str, "0,1,2,3,4", False, "Comma-separated seeds, one arrangement each."),
+        **_OUTPUT}),
+}
+
+
+def _help(command: str | None) -> str:
+    """The --help text of a subcommand, or of the program for None, from
+    the docstrings and the option tables; its first line is the usage."""
+    lines = [f"Usage: maxdiv {command or 'COMMAND'} [OPTIONS]", ""]
+    if command is None:
+        return "\n".join([*lines, __doc__.splitlines()[0], "", "Commands:"] + [
+            f"  {name:<9} {run.__doc__.splitlines()[0]}" for name, (run, _) in COMMANDS.items()])
+    run, options = COMMANDS[command]
+    lines += [f"  {line.strip()}".rstrip() for line in run.__doc__.strip().splitlines()]
+    return "\n".join([*lines, "", "Options:", "  --help  Show this message and exit."] + [
+        f"  {name} {getattr(convert, 'metavar', 'TEXT')}  {text}"
+        f"  [{'required' if required else f'default: {default}'}]"
+        for name, (convert, default, required, text) in options.items()])
+
+
+def _parse(options: dict, args: list[str]) -> dict | None:
+    """The keyword arguments of a subcommand from its tokens, or None for
+    --help.  An option takes the rest of its token after "=", or else the
+    next token verbatim; the last value given wins; no name is abbreviated."""
+    given, tokens = {}, iter(args)
+    for token in tokens:
+        if token == "--help":
+            return None
+        if token == "--" and next(tokens, None) is None:
+            break  # a last "--" ends the options
+        name, has_value, value = token.partition("=")
+        if name not in options:
+            raise CliError(f"No such option '{name}'." if name.startswith("-")
+                           else f"Got unexpected extra argument ({token})", 2)
+        given[name] = value if has_value else next(tokens, None)
+        if given[name] is None:
+            raise CliError(f"Option '{name}' requires an argument.", 2)
+    values = {}
+    for name, (convert, default, required, _) in options.items():
+        if required and name not in given:
+            raise CliError(f"Missing option '{name}'.", 2)
+        try:
+            values[name[2:]] = convert(given[name]) if name in given else default
+        except ValueError as exc:
+            raise CliError(f"Invalid value for '{name}': {exc}", 2)
+    return values
+
+
+def main(argv=None, standalone_mode: bool = True) -> int:
+    """Run the subcommand that argv (by default sys.argv[1:]) names, and
+    return its exit status, or exit with it in standalone_mode."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = args[0] if args and args[0] in COMMANDS else None
+    try:
+        if command is None and args[:1] != ["--help"]:
+            raise CliError(f"No such command '{args[0]}'." if args else "Missing command.", 2)
+        values = _parse(COMMANDS[command][1], args[1:]) if command else None
+        if values is None:
+            print(_help(command))
+        status = 0 if values is None else COMMANDS[command][0](**values) or 0
+    except CliError as exc:
+        if exc.status == 2:
+            print(_help(command).split("\n")[0], file=sys.stderr)
+        print(f"Error: {exc}", file=sys.stderr)
+        status = exc.status
+    except KeyboardInterrupt:
+        print("Aborted!", file=sys.stderr)
+        status = 1
+    if standalone_mode:
+        sys.exit(status)
+    return status
+
+
+cli = SimpleNamespace(main=main)  # cli.main(argv, standalone_mode=False) runs a command in-process
 
 if __name__ == "__main__":
     main()

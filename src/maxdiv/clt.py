@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES
@@ -46,8 +45,7 @@ _WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
 CHUNK_DRAWS = 1 << 16
 
 
-@dataclass(frozen=True)
-class RinottTerms:
+class RinottTerms(NamedTuple):
     """The three Stein/Rinott error terms for the d = 2 region count.
 
     Attributes:
@@ -75,8 +73,7 @@ class ThresholdCheck(NamedTuple):
     margin: float
 
 
-@dataclass(frozen=True)
-class NormalitySample:
+class NormalitySample(NamedTuple):
     """Result of one empirical normality experiment."""
 
     ks_distance: float
@@ -213,9 +210,11 @@ def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
 
     The guide table (Chen and Asau, 1974) holds the answer for each
     bucket edge j / g.  With g a power of two, u * g and j / g are exact,
-    so a uniform in bucket j has its answer between the answers at j / g
-    and (j + 1) / g; where those agree, no search is needed.  Only the
-    few uniforms in buckets that contain a CDF step are binary-searched.
+    so a uniform u in bucket j has its answer between the answers
+    guide[j] at j / g and guide[j + 1] at (j + 1) / g; where those agree,
+    no search is needed, and where they differ by one, the answer is
+    guide[j] + (u > cdf[guide[j]]).  Only the few uniforms in wider
+    buckets are binary-searched.
     """
     import numpy as np
 
@@ -227,7 +226,10 @@ def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
         bucket = (uniforms * g).astype(np.intp)
         index = guide[bucket]
         hard = np.flatnonzero(steps[bucket])
-        index[hard] = np.searchsorted(cdf, uniforms[hard], side="left")
+        low, high = index[hard], guide[bucket[hard] + 1]
+        index[hard] = low + (uniforms[hard] > cdf[low])
+        wide = hard[high - low > 1]
+        index[wide] = np.searchsorted(cdf, uniforms[wide], side="left")
         return index
 
     return invert

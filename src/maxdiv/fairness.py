@@ -25,9 +25,9 @@ same cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
 from maxdiv.geometry import ARC_MAX, _areas, _check_arc
 
@@ -43,8 +43,7 @@ _SQRT3 = math.sqrt(3.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(NamedTuple):
     """A located extremum of a fairness measure.
 
     at_boundary is true iff x_star was snapped onto pi/3; no measure

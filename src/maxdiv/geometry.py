@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 ARC_MAX = math.pi / 3
 
@@ -84,8 +84,7 @@ def max_regions(n: int, d: int) -> int:
     return sum(math.comb(n, i) for i in range(min(n, d) + 1))
 
 
-@dataclass(frozen=True)
-class Chord:
+class Chord(NamedTuple):
     """A chord of the unit disk, stored as its supporting line.
 
     The line is {p : p . normal = offset} with unit normal
@@ -114,14 +113,16 @@ class Chord:
         )
 
 
-@dataclass(frozen=True)
-class ChordSet:
-    """A collection of chords intended to divide the disk maximally."""
+class ChordSet(tuple):
+    """A collection of chords intended to divide the disk maximally: the
+    tuple of its chords, which ``chords`` also names."""
 
-    chords: tuple[Chord, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.chords)
+    def __new__(cls, chords: tuple[Chord, ...]):
+        return super().__new__(cls, chords)
+
+    chords = property(lambda self: self)
 
 
 def _intersection(a: Chord, b: Chord) -> tuple[float, float] | None:

@@ -14,8 +14,7 @@ exact rational-arithmetic evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from maxdiv.geometry import max_regions as region_count
 
@@ -34,25 +33,22 @@ class EnumerationBoundError(ValueError):
     """The requested n exceeds the enumeration limit."""
 
 
-@dataclass(frozen=True)
-class CutModel:
+class CutModel(NamedTuple("CutModel", [("n", int), ("p", float), ("d", int)])):
     """n attempted cuts, each kept with probability p, in dimension d."""
 
-    n: int
-    p: float
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"cut count must be positive, got {self.n}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"probability {self.p!r} outside [0, 1]")
-        if self.d < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.d}")
+    def __new__(cls, n: int, p: float, d: int):
+        if n < 1:
+            raise ValueError(f"cut count must be positive, got {n}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability {p!r} outside [0, 1]")
+        if d < 1:
+            raise ValueError(f"dimension must be at least 1, got {d}")
+        return super().__new__(cls, n, p, d)
 
 
-@dataclass(frozen=True)
-class RegionMoments:
+class RegionMoments(NamedTuple):
     """Moments of the region count plus the route that produced them.
 
     second_moment is None when the route does not define one (the

@@ -8,11 +8,10 @@ is pinned here; nothing is loosened at runtime.
 import math
 import time
 
-from click.testing import CliRunner
+from clirun import invoke
 
 from maxdiv import clt as clt_mod
 from maxdiv import fairness as fairness_mod
-from maxdiv.cli import cli
 from maxdiv.geometry import (
     _areas,
     count_regions_geometric,
@@ -30,8 +29,6 @@ from maxdiv.moments import (
     variance_asymptotic,
     variance_closed_form,
 )
-
-runner = CliRunner()
 
 
 def _verdict(num, label, ok):
@@ -190,7 +187,7 @@ def test_criterion_11_determinism():
     ]
     ok = True
     for args in commands:
-        outputs = {runner.invoke(cli, list(args)).stdout for _ in range(3)}
+        outputs = {invoke(*args).stdout for _ in range(3)}
         ok = ok and len(outputs) == 1
     runs = [clt_mod.sample_normality(150, 0.3, 5000, seed=12) for _ in range(2)]
     ok = ok and runs[0] == runs[1]

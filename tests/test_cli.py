@@ -8,9 +8,8 @@ import sys
 import time
 import tracemalloc
 
-import click
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 
 from maxdiv import MAX_SAMPLES
 from maxdiv import cli as cli_module
@@ -27,8 +26,6 @@ pytestmark = pytest.mark.filterwarnings(
     r"ignore:.*use of fork\(\) may lead to deadlocks:DeprecationWarning"
 )
 
-runner = CliRunner()
-
 
 def _rows(grid):
     """The rows of `fairness --grid G`, one list of 7 cells each."""
@@ -39,10 +36,6 @@ def _rows(grid):
 def _flat(rows):
     """cells(start, stop) for _render over these rows."""
     return lambda start, stop: [cell for row in rows[start:stop] for cell in row]
-
-
-def invoke(*args, env=None):
-    return runner.invoke(cli, list(args), env=env)
 
 
 def test_fairness_csv_contract():
@@ -284,7 +277,7 @@ def test_fairness_worker_failure_ends_in_one_error_line(monkeypatch, forks, fail
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
-def test_fairness_failed_write_ends_every_worker(monkeypatch, forks):
+def test_fairness_failed_write_ends_every_worker(monkeypatch, forks, capsys):
     monkeypatch.setattr(cli_module, "_workers", lambda: 3)
     argv = ["fairness", "--grid", str(5 * CHUNK_ROWS + 3)]
     res = invoke(*argv, "--out", "/dev/full")
@@ -298,8 +291,8 @@ def test_fairness_failed_write_ends_every_worker(monkeypatch, forks):
     os.set_blocking(write_fd, False)
     with open(read_fd, "rb"), open(write_fd, "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
-        with pytest.raises(click.ClickException, match="cannot write to standard output"):
-            cli.main(argv, standalone_mode=False)
+        assert cli.main(argv, standalone_mode=False) == 1
+    assert capsys.readouterr().err.startswith("Error: cannot write to standard output")
     assert len(forks) == 2
     _assert_reaped(forks)
 
@@ -425,7 +418,7 @@ def test_fairness_accepts_the_smallest_tol_whose_half_is_positive():
 def test_fairness_rejects_non_finite_tol(tol):
     res = invoke("fairness", "--grid", "4", "--tol", tol)
     assert _single_error_line(res)
-    assert "--tol" in res.stderr
+    assert res.stderr == f"Error: tolerance must be positive and finite, got {float(tol)!r}\n"
     assert res.stdout == ""
 
 
@@ -569,9 +562,10 @@ def test_clt_peak_rss_at_the_sample_limit():
 
 
 def _single_error_line(res) -> bool:
-    """A clean refusal: non-zero exit, one Error: line, no traceback."""
+    """A clean refusal: non-zero exit, one Error: line, no traceback (an
+    exception out of cli.main propagates out of invoke)."""
     errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
-    return res.exit_code != 0 and len(errors) == 1 and isinstance(res.exception, SystemExit)
+    return res.exit_code != 0 and len(errors) == 1 and "Traceback" not in res.stderr
 
 
 def test_clt_n_limit():
@@ -667,7 +661,7 @@ def test_subcommands_other_than_clt_load_no_numpy(argv):
         "import sys\n"
         "from maxdiv.cli import cli\n"
         f"cli.main({argv!r}, standalone_mode=False)\n"
-        "unused = {'numpy', 'scipy', 'maxdiv.clt', 'json', 'fractions'}\n"
+        "unused = {'numpy', 'scipy', 'maxdiv.clt', 'json', 'fractions', 'inspect', 'dataclasses'}\n"
         "print(sorted(unused & set(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -676,11 +670,12 @@ def test_subcommands_other_than_clt_load_no_numpy(argv):
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
     """Nor any analysis module, json or fractions: each subcommand
-    imports what it uses."""
+    imports what it uses.  Nor click, inspect or dataclasses, which cost
+    more start-up time than a small run takes."""
     code = (
         "import sys, maxdiv.cli\n"
         "unused = {'numpy', 'scipy', 'json', 'fractions', 'maxdiv.clt', 'maxdiv.moments',\n"
-        "          'maxdiv.fairness', 'maxdiv.geometry'}\n"
+        "          'maxdiv.fairness', 'maxdiv.geometry', 'click', 'inspect', 'dataclasses'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -750,6 +745,59 @@ def test_oracle_takes_no_precision():
     res = invoke("oracle", "--n", "3", "--seeds", "0", "--precision", "3")
     assert res.exit_code == 2
     assert "No such option '--precision'" in res.stderr
+
+
+@pytest.mark.parametrize("argv, status, rows", [
+    # an option takes the next token as its value, even one that starts with "-"
+    (["oracle", "--n", "2", "--seeds", "-5,3"], 0, ["2,-5,4,4,pass", "2,3,4,4,pass"]),
+    (["oracle", "--n", "2", "--seeds=-5,3"], 0, ["2,-5,4,4,pass", "2,3,4,4,pass"]),
+    # the last of repeated values wins, and a last "--" ends the options
+    (["oracle", "--n", "2", "--n", "3", "--seeds", "0"], 0, ["3,0,7,7,pass"]),
+    (["oracle", "--n", "2", "--seeds", "0", "--"], 0, ["2,0,4,4,pass"]),
+    # no abbreviated names, no missing value or option, no unknown choice
+    (["fairness", "--gr", "10"], 2, []),
+    (["fairness", "--grid"], 2, []),
+    (["oracle", "--seeds", "1"], 2, []),
+    (["moments", "--n", "2", "--p", "0.5", "--method", "nope"], 2, []),
+])
+def test_parser_keeps_the_exit_status_and_rows_recorded_with_click(argv, status, rows):
+    res = invoke(*argv)
+    assert res.exit_code == status
+    assert res.stdout.splitlines()[1:] == rows
+    assert status == 0 or _single_error_line(res)
+
+
+def test_a_missing_subcommand_is_a_usage_error():
+    res = invoke()
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "Usage:" in res.stderr
+
+
+def test_an_interrupted_run_ends_in_one_line(monkeypatch):
+    def interrupted(model):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(moments_module, "moments_exact", interrupted)
+    res = invoke("moments", "--n", "5", "--p", "0.5")
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "Aborted!\n")
+
+
+@pytest.mark.parametrize("command, options", [
+    ("fairness", ["--grid", "--tol", "--format", "--out", "--precision"]),
+    ("moments", ["--n", "--p", "--dim", "--method", "--format", "--out", "--precision"]),
+    ("clt", ["--n", "--p", "--samples", "--seed", "--format", "--out", "--precision"]),
+    ("oracle", ["--n", "--seeds", "--format", "--out"]),
+])
+def test_help_names_every_option_and_exits_0(command, options):
+    for argv in ([command, "--help"], [command, "--format", "x", "--help"]):
+        res = invoke(*argv)
+        assert res.exit_code == 0
+        assert res.stderr == ""
+        assert res.stdout.startswith(f"Usage: maxdiv {command} [OPTIONS]")
+        assert [line.split()[0] for line in res.stdout.splitlines() if line.startswith("  --")] == [
+            "--help", *options]
+    assert command in invoke("--help").stdout
 
 
 def test_oracle_rejects_bad_seeds():

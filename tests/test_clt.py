@@ -291,19 +291,23 @@ def test_windowed_sampler_matches_full_cdf(n, p):
 
 
 def test_guided_inversion_equals_binary_search():
-    _, cdf = _binomial_cdf(1000, 0.3)
-    # bucket edges j / g of every guide size up to 4096, the floats just
-    # below them, and the CDF values themselves, all inside [0, 1)
-    edges = np.array([j / 2**k for k in range(13) for j in range(2**k)])
-    edges = np.concatenate((edges, np.nextafter(edges[1:], 0.0), cdf, [np.nextafter(1.0, 0.0)]))
-    edges = np.unique(edges[edges < 1.0])
-    rng = np.random.Generator(np.random.Philox(key=5))
-    for uniforms in (rng.random(1), rng.random(7), rng.random(5000), edges):
-        # a guide sized for this batch, and guides sized for more or fewer draws
-        for m in (uniforms.size, 1, 3, 10**6):
-            assert np.array_equal(
-                _inverter(cdf, m)(uniforms), np.searchsorted(cdf, uniforms, side="left")
-            )
+    """Every draw, in an easy bucket, a bucket with one CDF step or a
+    wider one, gets the index a binary search over the whole window gives."""
+    for n, p in [(1000, 0.3), (10**7, 0.5), (100, 0.9), (10**5, 0.01)]:
+        _, cdf = _binomial_cdf(n, p)
+        # bucket edges j / g of every guide size the window can get, the
+        # floats just below them, and the CDF values themselves, all inside [0, 1)
+        edges = np.concatenate([np.arange(2**k) / 2**k for k in range(cdf.size.bit_length() + 1)])
+        edges = np.concatenate((edges, np.nextafter(edges[1:], 0.0), cdf, [np.nextafter(1.0, 0.0)]))
+        edges = np.unique(edges[edges < 1.0])
+        rng = np.random.Generator(np.random.Philox(key=5))
+        draws = (rng.random(1), rng.random(7), rng.random(5000), rng.random(CHUNK_DRAWS))
+        for uniforms in (*draws, edges):
+            # a guide sized for this batch, and guides sized for more or fewer draws
+            for m in (uniforms.size, 1, 3, 10**6):
+                assert np.array_equal(
+                    _inverter(cdf, m)(uniforms), np.searchsorted(cdf, uniforms, side="left")
+                )
 
 
 @pytest.mark.parametrize("m", [CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1, 3 * CHUNK_DRAWS + 5])
@@ -452,3 +456,13 @@ def test_result_types_are_frozen():
     assert isinstance(ns, NormalitySample)
     with pytest.raises(AttributeError):
         rt.term1 = 0.0
+    # so are the package's other result types
+    from maxdiv import fairness, geometry, moments
+
+    chord = geometry.Chord(0.5, 0.1)
+    model = CutModel(3, 0.5, 2)
+    for value, field in [(ns, "sigma"), (chord, "offset"), (geometry.ChordSet((chord,)), "chords"),
+                         (model, "p"), (moments.moments_exact(model), "mean"),
+                         (fairness.Optimum(1.0, 2.0, False), "x_star")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.0)

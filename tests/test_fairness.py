@@ -2,10 +2,10 @@ import math
 import statistics
 
 import pytest
-from click.testing import CliRunner
+from clirun import invoke
 
 from maxdiv import fairness
-from maxdiv.cli import CHUNK_ROWS, cli
+from maxdiv.cli import CHUNK_ROWS
 from maxdiv.fairness import (
     ARC_MAX,
     MEAN_AREA,
@@ -310,7 +310,7 @@ def test_scan_rejects_tiny_grid():
     """The table needs both ends of [0, pi/3]; its one entry point,
     `fairness --grid`, refuses a grid below 2 before computing a row."""
     for grid in ("1", "0", "-3"):
-        res = CliRunner().invoke(cli, ["fairness", "--grid", grid])
+        res = invoke("fairness", "--grid", grid)
         assert res.exit_code == 2
         assert "2<=x<=" in res.output
         assert "x,alpha1" not in res.output
