@@ -22,3 +22,7 @@ MAX_CUTS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
 #: 41 MiB.  Defined here for the same reason as MAX_CUTS.
 MAX_SAMPLES = 30_000_000
 
+#: Largest stream seed: ``clt`` keys a 128-bit counter-based stream with
+#: the seed itself, so every seed in [0, MAX_SEED] names its own stream.
+#: Defined here for the same reason as MAX_CUTS.
+MAX_SEED = 2**128 - 1

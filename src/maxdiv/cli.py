@@ -28,7 +28,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from maxdiv import MAX_CUTS, MAX_SAMPLES
+from maxdiv import MAX_CUTS, MAX_SAMPLES, MAX_SEED
 
 FAIRNESS_HEADER = ("x", "alpha1", "alpha2", "alpha3", "sd", "mad", "min_piece")
 MOMENTS_HEADER = (
@@ -41,9 +41,10 @@ CLT_HEADER = (
 )
 ORACLE_HEADER = ("n", "seed", "geometric", "formula", "result")
 
-#: Most grid points ``fairness`` tabulates.  The table takes about 3.4 s
-#: per 10^6 rows on two CPUs of a 2-vCPU x86-64 VM and 5 s on one, in a
-#: slow phase of that VM, so the bound keeps a run under a minute.
+#: Most grid points ``fairness`` tabulates.  The table takes about 2.2 s
+#: per 10^6 rows on two CPUs of a 2-vCPU x86-64 VM and 2.7 s on one, in a
+#: phase of that VM in which ``--grid 100000`` takes 0.3 s; phases about
+#: half as fast occur, so the bound keeps a run under a minute.
 MAX_GRID = 10**7
 
 #: Table rows per output chunk.  Each chunk is formatted by one
@@ -281,7 +282,7 @@ def _write(chunks, out: str) -> None:
 
 
 def _optimum_entry(opt, precision: int) -> dict:
-    from maxdiv.geometry import _areas
+    from maxdiv.fairness import _areas
 
     alpha1, alpha2, alpha3 = _areas(opt.x_star)
     return {
@@ -480,7 +481,7 @@ COMMANDS = {
                 "Probability each cut succeeds; must be strictly inside (0, 1)."),
         "--samples": (_number(int, 1, MAX_SAMPLES), 10**5, False,
                       "Monte Carlo sample count for the KS experiment."),
-        "--seed": (_number(int), 1, False, "Stream seed."),
+        "--seed": (_number(int, 0, MAX_SEED), 1, False, "Stream seed."),
         **_OUTPUT, **_PRECISION}),
     "oracle": (cmd_oracle, {
         "--n": (_number(int, 1, 10), None, True, "Chords per arrangement (at most 10)."),

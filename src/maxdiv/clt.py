@@ -30,7 +30,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
-from maxdiv import MAX_CUTS, MAX_SAMPLES
+from maxdiv import MAX_CUTS, MAX_SAMPLES, MAX_SEED
 from maxdiv.moments import CutModel, expected_regions, variance_closed_form
 
 if TYPE_CHECKING:
@@ -186,7 +186,8 @@ def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterat
     Uniform number i of a counter-based stream keyed by the seed is
     inverted through the windowed CDF.  The chunks hold at most
     CHUNK_DRAWS indices.  The caller has checked n >= 1 and p strictly
-    inside (0, 1); n <= MAX_CUTS and m are checked before anything is built.
+    inside (0, 1); n <= MAX_CUTS, m and the seed are checked before
+    anything is built.
     """
     if n > MAX_CUTS:
         raise ValueError(
@@ -194,11 +195,13 @@ def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterat
         )
     if not 1 <= m <= MAX_SAMPLES:
         raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2^128 - 1], got {seed}")
     import numpy as np
 
     lo, cdf = _binomial_cdf(n, p)
     invert = _inverter(cdf, m)
-    stream = np.random.Generator(np.random.Philox(key=seed & (2**128 - 1)))
+    stream = np.random.Generator(np.random.Philox(key=seed))
     chunks = (invert(stream.random(min(CHUNK_DRAWS, m - start)))
               for start in range(0, m, CHUNK_DRAWS))
     return lo, cdf.size, chunks
@@ -241,12 +244,12 @@ def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     kept with probability p, in O(sqrt(n)) memory.
 
     Draw i is a pure function of (n, p, seed, i): uniform number i of a
-    counter-based stream keyed by the seed, inverted through the
-    binomial CDF.  Standardization uses the exact mean and standard
-    deviation, never sample estimates.  The draws go into a histogram
-    over the window, chunk by chunk, and the region count is computed
-    only for the outcomes drawn; it increases with the outcome, so the
-    histogram is already sorted.
+    counter-based stream keyed by the seed, one of [0, 2^128 - 1],
+    inverted through the binomial CDF.  Standardization uses the exact
+    mean and standard deviation, never sample estimates.  The draws go
+    into a histogram over the window, chunk by chunk, and the region
+    count is computed only for the outcomes drawn; it increases with the
+    outcome, so the histogram is already sorted.
     """
     sigma = _exact_sigma(n, p)
     lo, size, chunks = _window_draws(n, p, m, seed)

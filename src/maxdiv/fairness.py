@@ -1,5 +1,14 @@
 """Fairness of the symmetric seven-piece division, as a function of arc length.
 
+Three chords in general position cut a disk into seven pieces.  The
+symmetric family studied here is parameterized by a single arc length
+x: each chord subtends an arc of length x against one side, and the
+whole configuration has threefold rotational symmetry.  The seven
+pieces then fall into three congruence classes (one central triangle,
+three circular triangles, three circular trapezoids) whose areas are
+closed-form functions of x on [0, pi/3].  This module is the one place
+those formulas are written out.
+
 Every piece would get pi/7 in a perfectly fair split.  Three measures of
 how far a cut configuration strays from that ideal are provided, all
 over the arc-length domain [0, pi/3]:
@@ -18,8 +27,9 @@ Maximization runs the same recipe on the negated measure.
 The table the CLI prints holds, per grid point, the three class areas
 and the three measures.  ``_measures`` computes its rows at any arc
 lengths as one flat list of floats, which the CLI formats chunk by
-chunk; the public measures and the optimizers' bracket grid read the
-same cells.
+chunk; its loop body is the only code that evaluates the areas.  The
+public measures, the checked one-point view ``_areas`` and the
+optimizers' bracket grid read the same cells.
 """
 
 from __future__ import annotations
@@ -29,7 +39,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from maxdiv.geometry import ARC_MAX, _areas, _check_arc
+#: Largest arc length: at pi/3 the central triangle vanishes.
+ARC_MAX = math.pi / 3
 
 #: Fair share of the unit disk for each of the seven pieces.
 MEAN_AREA = math.pi / 7
@@ -40,6 +51,8 @@ _PI2_7 = math.pi**2 / 7.0
 BRACKET_GRID = 4096
 
 _SQRT3 = math.sqrt(3.0)
+_3SQRT3 = 3.0 * _SQRT3  # the first product of 3 sqrt(3) s^2, left to right
+_PI_6 = math.pi / 6
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -53,6 +66,11 @@ class Optimum(NamedTuple):
     x_star: float
     objective_value: float
     at_boundary: bool
+
+
+def _check_arc(x: float) -> None:
+    if not 0.0 <= x <= ARC_MAX:
+        raise ValueError(f"arc length {x!r} outside [0, pi/3]")
 
 
 def _grid(points: int, start: int = 0, stop: int | None = None):
@@ -72,6 +90,7 @@ def _grid(points: int, start: int = 0, stop: int | None = None):
 
 def sd(x: float) -> float:
     """Standard deviation of the seven areas at arc length x."""
+    _check_arc(x)
     return _measures((x,))[4]
 
 
@@ -97,6 +116,7 @@ def sd_closed_form(x: float) -> float:
 
 def mad(x: float) -> float:
     """Mean absolute deviation of the seven areas at arc length x."""
+    _check_arc(x)
     return _measures((x,))[5]
 
 
@@ -121,6 +141,7 @@ def mad_expanded(x: float) -> float:
 
 def min_piece(x: float) -> float:
     """Area of the smallest piece at arc length x."""
+    _check_arc(x)
     return _measures((x,))[6]
 
 
@@ -225,24 +246,51 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
     return Optimum(best.x_star, -best.objective_value, best.at_boundary)
 
 
+def _areas(x: float) -> tuple[float, float, float]:
+    """Areas (alpha1, alpha2, alpha3) of the central triangle, of each
+    circular triangle and of each circular trapezoid at arc length x."""
+    _check_arc(x)
+    return tuple(_measures((x,))[1:4])
+
+
 def _measures(xs) -> list[float]:
     """The table rows at the arc lengths xs, flat: for each x, the 7 cells
     x, the areas alpha1, alpha2 and alpha3 of the central triangle, of
     each circular triangle and of each circular trapezoid, then sd, mad
-    and min_piece.  The one place these three measures are computed.
+    and min_piece.  The one place the areas and the three measures are
+    computed.  With s = sin(pi/6 - x/2), the areas are
 
-    Rows are independent, so the CLI hands disjoint ranges of the grid to
+        central triangle (one):      3 sqrt(3) s^2
+        circular triangle (three):   x/2 - 2 sin(x/2) s
+        circular trapezoid (three):  pi/3 - x/2 + 2 sin(x/2) s - sqrt(3) s^2
+
+    A trapezoid is a 120-degree sector less one circular triangle and a
+    third of the central triangle, so the seven pieces add up to pi.
+
+    The xs must lie in [0, pi/3]; nothing here checks them.  Rows are
+    independent, so the CLI hands disjoint ranges of the grid to
     separate processes and the table does not depend on that schedule.
     """
-    areas, sqrt, mean = _areas, math.sqrt, MEAN_AREA
+    sin, sqrt, mean = math.sin, math.sqrt, MEAN_AREA
     cells: list[float] = []
     for x in xs:
-        a1, a2, a3 = areas(x)
+        h = x / 2
+        s = sin(_PI_6 - h)
+        chord_s = 2.0 * sin(h) * s
+        a1 = _3SQRT3 * s * s
+        a2 = h - chord_s
+        a3 = ARC_MAX - h + chord_s - _SQRT3 * s * s
+        # The conditionals give the bits of abs and min: a - pi/7 is
+        # never -0.0 (pi/7 is not 0), so d >= 0.0 keeps the sign abs
+        # gives, and a tie keeps the first operand, as min does.
+        d1, d2, d3 = a1 - mean, a2 - mean, a3 - mean
+        low = a2 if a2 < a1 else a1
         cells += (
             x, a1, a2, a3,
             # the radicand is at least pi^2/294 on [0, pi/3]
             sqrt((a1**2 + 3.0 * a2**2 + 3.0 * a3**2 - _PI2_7) / 7.0),
-            (abs(a1 - mean) + 3.0 * abs(a2 - mean) + 3.0 * abs(a3 - mean)) / 7.0,
-            min(a1, a2, a3),
+            ((d1 if d1 >= 0.0 else -d1) + 3.0 * (d2 if d2 >= 0.0 else -d2)
+             + 3.0 * (d3 if d3 >= 0.0 else -d3)) / 7.0,
+            a3 if a3 < low else low,
         )
     return cells

@@ -1,16 +1,9 @@
-"""Areas and region counts for maximal chord divisions of the unit disk.
+"""Region counts for maximal chord divisions of the unit disk.
 
-Three chords in general position cut a disk into seven pieces.  The
-symmetric family studied here is parameterized by a single arc length
-``x``: each chord subtends an arc of length ``x`` against one side, and
-the whole configuration has threefold rotational symmetry.  The seven
-pieces then fall into three congruence classes (one central triangle,
-three circular triangles, three circular trapezoids) whose areas are
-closed-form functions of ``x`` on ``[0, pi/3]``.
-
-The module also provides the straight-cut region-count maximum in any
-dimension and an independent geometric counter that works directly on a
-set of chords via Euler's formula.
+The straight-cut region-count maximum in any dimension, and an
+independent geometric counter that works directly on a set of chords via
+Euler's formula.  The piece areas of the symmetric seven-piece division
+are computed in ``maxdiv.fairness``, the one place their formulas live.
 """
 
 from __future__ import annotations
@@ -19,17 +12,12 @@ import math
 import random
 from typing import NamedTuple
 
-ARC_MAX = math.pi / 3
-
 #: Interior intersections must clear the circle, each other, and the chord
 #: endpoints by this margin for the combinatorial count to be trustworthy.
 GENERAL_POSITION_TOL = 1e-9
 
 #: Attempts allowed when rejection-sampling a valid arrangement.
 RETRY_BUDGET = 1000
-
-_SQRT3 = math.sqrt(3.0)
-_PI_6 = math.pi / 6
 
 
 class InvalidChordError(ValueError):
@@ -42,32 +30,6 @@ class DegenerateConfigurationError(ValueError):
 
 class RetryBudgetError(RuntimeError):
     """Rejection sampling failed to produce a valid arrangement."""
-
-
-def _check_arc(x: float) -> None:
-    if not 0.0 <= x <= ARC_MAX:
-        raise ValueError(f"arc length {x!r} outside [0, pi/3]")
-
-
-def _areas(x: float) -> tuple[float, float, float]:
-    """Areas (triangle, circular_triangle, circular_trapezoid) of the
-    three piece classes at arc length x, with s = sin(pi/6 - x/2):
-
-        central triangle (one):      3 sqrt(3) s^2
-        circular triangle (three):   x/2 - 2 sin(x/2) s
-        circular trapezoid (three):  pi/3 - x/2 + 2 sin(x/2) s - sqrt(3) s^2
-
-    A trapezoid is a 120-degree sector less one circular triangle and a
-    third of the central triangle, so the seven pieces add up to pi.
-    """
-    _check_arc(x)
-    s = math.sin(_PI_6 - x / 2)
-    chord_s = 2.0 * math.sin(x / 2) * s
-    return (
-        3.0 * _SQRT3 * s * s,
-        x / 2 - chord_s,
-        ARC_MAX - x / 2 + chord_s - _SQRT3 * s * s,
-    )
 
 
 def max_regions(n: int, d: int) -> int:

@@ -12,8 +12,8 @@ from clirun import invoke
 
 from maxdiv import clt as clt_mod
 from maxdiv import fairness as fairness_mod
+from maxdiv.fairness import _areas
 from maxdiv.geometry import (
-    _areas,
     count_regions_geometric,
     max_regions,
     random_chord_set,

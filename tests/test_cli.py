@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 from clirun import invoke
 
-from maxdiv import MAX_SAMPLES
+from maxdiv import MAX_SAMPLES, MAX_SEED
 from maxdiv import cli as cli_module
 from maxdiv import moments as moments_module
 from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, cli
@@ -583,6 +583,19 @@ def test_clt_samples_limit():
     assert str(MAX_SAMPLES) in res.stderr
 
 
+def test_clt_seed_limit():
+    """Seeds outside [0, 2^128 - 1] would share the stream of a seed
+    inside it, while the output echoes the seed given; they are refused."""
+    for seed in (-1, MAX_SEED + 1):
+        res = invoke("clt", "--n", "1000", "--p", "0.3", "--samples", "1000", "--seed", str(seed))
+        assert _single_error_line(res) and res.exit_code == 2
+        assert f"0<=x<={MAX_SEED}" in res.stderr
+    top = invoke("clt", "--n", "1000", "--p", "0.3", "--samples", "1000", "--seed", str(MAX_SEED))
+    zero = invoke("clt", "--n", "1000", "--p", "0.3", "--samples", "1000", "--seed", "0")
+    assert top.exit_code == zero.exit_code == 0
+    assert top.stdout.splitlines()[1].split(",")[10] != zero.stdout.splitlines()[1].split(",")[10]
+
+
 def test_fairness_grid_limit():
     for grid in (1, MAX_GRID + 1):
         res = invoke("fairness", "--grid", str(grid))
@@ -657,12 +670,15 @@ def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field
     ["oracle", "--n", "3", "--seeds", "0"],
 ])
 def test_subcommands_other_than_clt_load_no_numpy(argv):
+    """Nor geometry for fairness, which computes the areas itself."""
+    unused = {"numpy", "scipy", "maxdiv.clt", "json", "fractions", "inspect", "dataclasses"}
+    if argv[0] == "fairness":
+        unused.add("maxdiv.geometry")
     code = (
         "import sys\n"
         "from maxdiv.cli import cli\n"
         f"cli.main({argv!r}, standalone_mode=False)\n"
-        "unused = {'numpy', 'scipy', 'maxdiv.clt', 'json', 'fractions', 'inspect', 'dataclasses'}\n"
-        "print(sorted(unused & set(sys.modules)), file=sys.stderr)\n"
+        f"print(sorted(set({sorted(unused)!r}) & set(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stderr.splitlines()[-1] == "[]"

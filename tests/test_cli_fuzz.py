@@ -73,7 +73,7 @@ COMMANDS = {
         Option("--p", st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                                 SPECIAL_FLOATS), MALFORMED, True),
         Option("--samples", st.integers(1, 10**4), _bad(0, -2, MAX_SAMPLES + 1, 10**30)),
-        Option("--seed", _ints(-(2**130), 2**130, 0, -1, 2**128), MALFORMED),
+        Option("--seed", _ints(0, 2**128 - 1, 0, 2**128 - 1), _bad(-1, 2**128, -(2**130), 2**130)),
         PRECISION,
     ],
     "oracle": [

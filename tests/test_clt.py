@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from maxdiv import MAX_SAMPLES
+from maxdiv import MAX_SAMPLES, MAX_SEED
 from maxdiv import clt
 from maxdiv.clt import (
     CHUNK_DRAWS,
@@ -265,6 +265,17 @@ def test_samples_beyond_the_sample_limit_are_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_seeds_outside_128_bits_are_refused_not_aliased():
+    """The stream key has 128 bits: a wider seed would key the stream of
+    its low 128 bits, so it is refused, and the largest seed keys its own."""
+    for seed in (-1, MAX_SEED + 1, -(2**130), 2**130):
+        with pytest.raises(ValueError, match="seed"):
+            sample_normality(1000, 0.3, 10, seed)
+    top = sample_region_counts(1000, 0.3, 1000, MAX_SEED)
+    assert np.array_equal(top, _reference_draws(1000, 0.3, 1000, MAX_SEED))
+    assert not np.array_equal(top, sample_region_counts(1000, 0.3, 1000, 0))
 
 
 def _reference_draws(n: int, p: float, m: int, seed: int) -> np.ndarray:

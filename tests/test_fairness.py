@@ -10,6 +10,7 @@ from maxdiv.fairness import (
     ARC_MAX,
     MEAN_AREA,
     Optimum,
+    _areas,
     mad,
     mad_expanded,
     maximize_min_piece,
@@ -19,7 +20,6 @@ from maxdiv.fairness import (
     sd,
     sd_closed_form,
 )
-from maxdiv.geometry import _areas
 
 GRID = [ARC_MAX * i / 999 for i in range(1000)]
 
@@ -91,18 +91,42 @@ def test_sd_closed_form_equivalence():
 
 def test_sd_zero_for_perfectly_fair_profile(monkeypatch):
     """Seven equal areas have no absolute deviation.  No arc length gives
-    them, and sd takes a plain square root: its radicand stays at least
-    pi^2/294, its value at x = pi/3, across the domain.  So the kernel
-    sees equal areas with pi^2/7 zeroed, which keeps that root real."""
+    them, so the kernel is fed sines that do: at x = 0 it takes
+    s = sin(pi/6) and t = sin(0), and 3 sqrt(3) s^2 = pi/7 makes the
+    central triangle fair, -2 t s = pi/7 each circular triangle, and the
+    trapezoids follow, since the seven pieces add up to pi for any s and
+    t.  The areas then miss pi/7 by rounding alone, and so does mad.  The
+    triangle falls one unit short, so a sign slip in its deviation would
+    make mad negative.
+
+    sd takes a plain square root: its radicand stays at least pi^2/294,
+    its value at x = pi/3, across the domain.  Here it would round below
+    zero, so pi^2/7 is zeroed, which keeps that root real and leaves the
+    root mean square of the seven areas, pi/7 again."""
+    s = math.sqrt(MEAN_AREA / (3.0 * math.sqrt(3.0)))
+    t = -MEAN_AREA / (2.0 * s)
     with monkeypatch.context() as patch:
-        patch.setattr(fairness, "_areas", lambda x: (MEAN_AREA,) * 3)
+        patch.setattr(math, "sin", lambda v: t if v == 0.0 else s)
         patch.setattr(fairness, "_PI2_7", 0.0)
-        assert fairness._measures((0.0,))[5] == 0.0
+        _, *areas, root_mean_square, deviation, smallest = fairness._measures((0.0,))
+    assert areas == pytest.approx([MEAN_AREA] * 3, rel=1e-15)
+    assert 0.0 <= deviation <= 1e-16
+    assert root_mean_square == pytest.approx(MEAN_AREA, rel=1e-15)
+    assert smallest == min(areas)
     floor = math.pi**2 / 294 - 1e-15
     for x in fairness._grid(100_001):
         triangle, circular_triangle, circular_trapezoid = _areas(x)
         square_sum = triangle**2 + 3 * circular_triangle**2 + 3 * circular_trapezoid**2
         assert (square_sum - math.pi**2 / 7) / 7 >= floor, x
+
+
+@pytest.mark.parametrize("measure", [sd, mad, min_piece, sd_closed_form, mad_expanded, _areas])
+def test_measures_refuse_arc_lengths_outside_the_domain(measure):
+    """The one-point routes check x themselves; the table's kernel takes
+    grid points, which lie in [0, pi/3] by construction, unchecked."""
+    for bad in (-1e-12, ARC_MAX + 1e-9, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            measure(bad)
 
 
 def test_sd_strictly_decreasing():

@@ -3,13 +3,12 @@ import math
 import pytest
 
 from maxdiv import geometry
+from maxdiv.fairness import ARC_MAX, _areas
 from maxdiv.geometry import (
-    ARC_MAX,
     Chord,
     ChordSet,
     DegenerateConfigurationError,
     InvalidChordError,
-    _areas,
     count_regions_geometric,
     max_regions,
     random_chord_set,
