@@ -12,12 +12,13 @@ an absolute bound.
 The empirical side draws region-count samples from exact binomial
 inversion on a counter-based stream and measures the Kolmogorov-Smirnov
 distance between the exactly standardized samples and the standard
-normal CDF.  Inversion runs over a window of O(sqrt(n)) outcomes around
-the mean, sized by Hoeffding's inequality so that every outcome left
-out has probability below 2^-1100, under the smallest positive float64
-(2^-1074).  The windowed CDF is therefore the full CDF as float64 holds
-it.  The uniforms are drawn in chunks of CHUNK_DRAWS, and the KS run
-keeps only how often each window outcome was drawn, so it costs
+normal CDF.  Inversion runs over moments._binomial_window, the window
+of O(sqrt(n)) outcomes that the exact moments route enumerates.  It is
+sized by Hoeffding's inequality so that every outcome left out has
+probability below 2^-1100, under the smallest positive float64
+(2^-1074), so the windowed CDF is the full CDF as float64 holds it.
+The uniforms are drawn in chunks of CHUNK_DRAWS, and the KS run keeps
+only how often each window outcome was drawn, so it costs
 O(sqrt(n) + m) time and O(sqrt(n)) memory for m samples.
 
 numpy is imported on first use, so importing this module, and with it
@@ -31,14 +32,10 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES, MAX_SEED
-from maxdiv.moments import CutModel, expected_regions, variance_closed_form
+from maxdiv.moments import CutModel, _binomial_window, expected_regions, variance_closed_form
 
 if TYPE_CHECKING:
     import numpy as np
-
-# Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
-# 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
-_WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
 
 #: Uniforms drawn and inverted at a time; bounds the sampler's working
 #: memory at a few MiB whatever the sample count.
@@ -143,18 +140,6 @@ def threshold_check(n: int, p: float) -> ThresholdCheck:
     _require_nondegenerate(p)
     margin = p * (1.0 - p) ** (1.0 / 3.0) * n ** (1.0 / 9.0)
     return ThresholdCheck(in_clt_regime=margin > 1.0, margin=margin)
-
-
-def _binomial_window(n: int, p: float) -> tuple[int, int]:
-    """Outcomes [lo, hi] of Bin(n, p) that can carry float64 mass.
-
-    Every outcome outside is farther than t = _WINDOW_SCALE * sqrt(n)
-    from the mean np, so by Hoeffding's inequality its probability is
-    below 2^-1100, which rounds to 0.0 in float64.  The bounds are
-    rounded outward.
-    """
-    t = _WINDOW_SCALE * math.sqrt(n)
-    return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
 
 
 def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:

@@ -20,7 +20,6 @@ from maxdiv.geometry import (
 )
 from maxdiv.moments import (
     CutModel,
-    _enumerated_moments,
     concentration_window,
     exact_moments_rational,
     expected_regions,
@@ -120,7 +119,7 @@ def test_criterion_06_moment_oracle():
 
 def test_criterion_07_asymptotics():
     ratios = [
-        _enumerated_moments(n, 0.5, 2)[2] / variance_asymptotic(CutModel(n, 0.5, 2))
+        moments_exact(CutModel(n, 0.5, 2)).variance / variance_asymptotic(CutModel(n, 0.5, 2))
         for n in (100, 300, 1000, 3000)
     ]
     ratio_3d = moments_exact(CutModel(1000, 0.5, 3)).variance / variance_asymptotic(

@@ -628,6 +628,8 @@ def test_moments_reports_overflowing_n(method, dim, n):
     (["--n", "10", "--p", "0.5", "--dim", "100000000", "--method", "closed"], "Error: variance polynomial"),
     (["--n", "10", "--p", "0.5", "--dim", "1000000000"], "n,p,dim,"),
     (["--n", "10", "--p", "1", "--dim", "1000000000"], "n,p,dim,"),
+    (["--n", "10000000", "--p", "0.5", "--dim", "10000000"], "Error: region count"),
+    (["--n", "10000000", "--p", "1", "--dim", "10000000"], "Error: region count"),
 ])
 def test_moments_huge_dim_ends_within_a_second(argv, outcome):
     start = time.perf_counter()
@@ -670,9 +672,10 @@ def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field
     ["oracle", "--n", "3", "--seeds", "0"],
 ])
 def test_subcommands_other_than_clt_load_no_numpy(argv):
-    """Nor geometry for fairness, which computes the areas itself."""
+    """Nor geometry for fairness, which computes the areas itself, or for
+    moments, which counts regions itself."""
     unused = {"numpy", "scipy", "maxdiv.clt", "json", "fractions", "inspect", "dataclasses"}
-    if argv[0] == "fairness":
+    if argv[0] in ("fairness", "moments"):
         unused.add("maxdiv.geometry")
     code = (
         "import sys\n"

@@ -61,7 +61,8 @@ COMMANDS = {
         PRECISION,
     ],
     "moments": [
-        Option("--n", _ints(1, 2000, 1000, 1001, 10**9, 10**52, 10**400), _bad(0, -2), True),
+        Option("--n", _ints(1, 2000, 1000, 1001, 10**7, 10**7 + 1, 10**9, 10**52, 10**400),
+               _bad(0, -2), True),
         Option("--p", st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324, 1 - 2**-53])),
                _bad(math.nan, math.inf, -0.1, 1.5), True),
         Option("--dim", _ints(1, 10, 2, 3, 10**6, 10**9), _bad(0, -1)),
@@ -116,6 +117,8 @@ EDGE_CASES = [
     ["fairness", "--grid", "10", "--format", "json", "--out", "{tmp}"],
     ["fairness", "--grid", "10", "--out", "{tmp}/missing/out.txt"],
     ["moments", "--n", "1000", "--p", "0.5", "--dim", str(10**9)],
+    ["moments", "--n", str(10**7), "--p", "0.5", "--dim", str(10**7)],
+    ["moments", "--n", str(10**7), "--p", "1", "--dim", str(10**7)],
     ["moments", "--n", "10", "--p", "0.5", "--dim", str(10**9), "--method", "closed"],
     ["moments", "--n", "10", "--p", "nan"],
     ["clt", "--n", "100", "--p", "nan", "--samples", "10"],

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from maxdiv.geometry import max_regions
 from maxdiv.moments import (
     CutModel,
-    _enumerated_moments,
     _region_counts,
     EnumerationBoundError,
     UnsupportedDimensionError,
@@ -19,7 +19,6 @@ from maxdiv.moments import (
     moments_asymptotic,
     moments_closed_form,
     moments_exact,
-    region_count,
     second_moment_2d,
     variance_asymptotic,
     variance_closed_form,
@@ -33,23 +32,22 @@ def close(got, want, rel=1e-10, abs_=1e-12):
 
 
 def test_region_count_known_values():
-    assert region_count(3, 2) == 7
-    assert region_count(0, 2) == 1
-    assert region_count(0, 5) == 1
-    assert region_count(4, 3) == 15
-    assert region_count(2, 2) == 4
-
-
-def test_region_count_matches_max_regions():
-    assert region_count is max_regions
+    assert max_regions(3, 2) == 7
+    assert max_regions(0, 2) == 1
+    assert max_regions(0, 5) == 1
+    assert max_regions(4, 3) == 15
+    assert max_regions(2, 2) == 4
 
 
 def test_region_column_matches_max_regions():
     for n in range(0, 40):
         for d in range(1, 45):
-            assert _region_counts(n, d) == [max_regions(x, d) for x in range(n + 1)], (n, d)
-    assert _region_counts(1000, 3) == [max_regions(x, 3) for x in range(1001)]
-    assert _region_counts(1000, 10**9) == [2**x for x in range(1001)]
+            for lo in (0, n // 3, n // 2, n):
+                want = [max_regions(x, d) for x in range(lo, n + 1)]
+                assert _region_counts(lo, n, d) == want, (lo, n, d)
+    assert _region_counts(0, 1000, 3) == [max_regions(x, 3) for x in range(1001)]
+    assert _region_counts(0, 1000, 10**9) == [2**x for x in range(1001)]
+    assert _region_counts(900, 1000, 3) == [max_regions(x, 3) for x in range(900, 1001)]
 
 
 def test_expected_regions_ignores_dimensions_beyond_n():
@@ -59,9 +57,9 @@ def test_expected_regions_ignores_dimensions_beyond_n():
 
 def test_region_count_rejects_bad_input():
     with pytest.raises(ValueError):
-        region_count(-1, 2)
+        max_regions(-1, 2)
     with pytest.raises(ValueError):
-        region_count(3, 0)
+        max_regions(3, 0)
 
 
 def test_cut_model_validation():
@@ -94,12 +92,12 @@ def test_degenerate_probabilities():
     for d in (2, 3):
         sure = CutModel(6, 1.0, d)
         none = CutModel(6, 0.0, d)
-        assert expected_regions(sure) == region_count(6, d)
+        assert expected_regions(sure) == max_regions(6, d)
         assert expected_regions(none) == 1.0
         assert variance_closed_form(sure) == 0.0
         assert moments_exact(none).variance == 0.0
     assert moments_exact(CutModel(5, 1.0, 4)).variance == 0.0
-    assert expected_regions(CutModel(5, 1.0, 4)) == region_count(5, 4)
+    assert expected_regions(CutModel(5, 1.0, 4)) == max_regions(5, 4)
 
 
 def test_closed_forms_match_rational_enumeration():
@@ -137,7 +135,7 @@ def test_enumerated_variance_accurate_near_one():
     rational value by 1.35e-6 relative, the centred pass by about 1e-12."""
     n, p = 2000, 0.9999
     want = _variance_2d_rational(n, Fraction(p))
-    got = _enumerated_moments(n, p, 2)[2]
+    got = moments_exact(CutModel(n, p, 2)).variance
     assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * want
 
 
@@ -162,6 +160,31 @@ def test_enumeration_matches_rational_route(n, d, p):
         # few rounding units bound its error even at p near 0 or 1
         closed = variance_closed_form(CutModel(n, p, d))
         assert abs(Fraction(closed) - exact[2]) <= Fraction(1, 10**14) * exact[2]
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1 - 1e-9])
+@pytest.mark.parametrize("d", [2, 5])
+def test_enumeration_within_1e_14_of_rational_route(n, p, d):
+    """Weights from lgamma, as enumerated before, were up to 1.9e-13 off here."""
+    bundle = moments_exact(CutModel(n, p, d))
+    exact = exact_moments_rational(n, Fraction(p), d)
+    for value, want in zip((bundle.mean, bundle.second_moment, bundle.variance), exact):
+        assert abs(Fraction(value) - want) <= Fraction(1, 10**14) * want
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7])
+@pytest.mark.parametrize("d", [2, 3])
+def test_enumeration_within_1e_14_of_closed_form_at_large_n(n, d):
+    """Stepping down by a separately rounded q / p put V(R) 8e-14 off at
+    n = 10^7, p = 0.3, and centring on the float mean up to 8e-12 off at
+    p = 1 - 1e-6, d = 3."""
+    for p in (1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6):
+        model = CutModel(n, p, d)
+        bundle = moments_exact(model)
+        for got, want in ((bundle.mean, expected_regions(model)),
+                          (bundle.variance, variance_closed_form(model))):
+            assert abs(got - want) <= 1e-14 * want, (p, got, want)
 
 
 def test_closed_form_variance_keeps_its_digits_next_to_one():
@@ -205,17 +228,38 @@ def test_dimension_guards():
 
 
 def test_enumeration_bound_enforced():
-    with pytest.raises(EnumerationBoundError):
-        moments_exact(CutModel(1001, 0.5, 2))
-    # the enumeration itself runs past the bound
-    assert _enumerated_moments(1001, 0.5, 2)[2] > 0.0
+    with pytest.raises(EnumerationBoundError, match="n <= 10000000"):
+        moments_exact(CutModel(10**7 + 1, 0.5, 2))
+    with pytest.raises(EnumerationBoundError, match="n <= 10000000"):
+        chebyshev_tail(CutModel(10**7 + 1, 0.5, 2), 1.0)
+    # the old cap of n <= 1000 is gone
+    assert moments_exact(CutModel(1001, 0.5, 2)).variance > 0.0
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_enumeration_refuses_counts_past_float_range_before_building_them(p):
+    """R(hi, 10^7) has millions of bits; building the counts would take
+    minutes, the refusal takes no time."""
+    start = time.perf_counter()
+    with pytest.raises(EnumerationBoundError, match="passes the float range"):
+        moments_exact(CutModel(10**7, p, 10**7))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_enumeration_keeps_counts_within_float_range():
+    # X = 0 for certain, so R = 1 whatever the dimension
+    assert moments_exact(CutModel(10**7, 0.0, 10**7)).mean == 1.0
+    # R(1000, 10^5) = 2^1000 is a float, so the route runs; its squares are not
+    bundle = moments_exact(CutModel(1000, 0.5, 10**5))
+    assert bundle.mean == pytest.approx(1.5**1000, rel=1e-12)
+    assert bundle.variance == math.inf
 
 
 def test_asymptotic_ratio_monotone_toward_one():
     ratios = []
     for n in (100, 300, 1000, 3000):
         model = CutModel(n, 0.5, 2)
-        ratios.append(_enumerated_moments(n, 0.5, 2)[2] / variance_asymptotic(model))
+        ratios.append(moments_exact(model).variance / variance_asymptotic(model))
     assert abs(ratios[2] - 1.0) <= 0.01
     assert all(a > b > 1.0 for a, b in zip(ratios, ratios[1:]))
 
@@ -262,10 +306,15 @@ def test_chebyshev_tail_rejects_bad_lambda():
             chebyshev_tail(CutModel(10, 0.5, 2), lam)
 
 
-def test_chebyshev_tail_beyond_enumeration_uses_closed_form():
+def test_chebyshev_tail_uses_enumerated_variance_in_every_dimension():
     model = CutModel(5000, 0.5, 2)
     lam = 10 * math.sqrt(variance_closed_form(model))
     assert chebyshev_tail(model, lam) == pytest.approx(0.01, abs=1e-12)
+    # no closed form covers d = 4; V(R) ~ n^7 p^7 q / (3!)^2 to leading order
+    model = CutModel(5000, 0.5, 4)
+    variance = moments_exact(model).variance
+    assert variance / (5000**7 * 0.5**8 / 36) == pytest.approx(1.0, abs=0.01)
+    assert chebyshev_tail(model, 10 * math.sqrt(variance)) == pytest.approx(0.01, abs=1e-12)
 
 
 def test_concentration_window_regimes():
