@@ -14,6 +14,7 @@ exact rational-arithmetic evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -23,7 +24,7 @@ if TYPE_CHECKING:
 
 #: Largest n the enumeration route accepts.  Its window then holds at
 #: most 123 545 outcomes, and `moments --n 10000000 --p 0.5 --dim 2
-#: --method exact` takes 0.21-0.25 s wall on a 2-vCPU Xeon VM.
+#: --method exact` takes 0.21-0.33 s wall on a 2-vCPU Xeon VM.
 ENUMERATION_BOUND = 10**7
 
 # Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
@@ -223,11 +224,12 @@ def moments_exact(model: CutModel) -> RegionMoments:
     """Moments by enumerating _binomial_window, or the one outcome of X
     when p is 0 or 1, packaged with their route tag.
 
-    n above ENUMERATION_BOUND, or counts past the float range, are
-    refused before any count is built.  The variance sums the centred
-    counts, not E(R^2) - E(R)^2, which cancels when V(R) is small next to
-    E(R)^2 (p near 0 or 1).  Every sum has nonnegative terms, so each
-    moment is off by at most a few window-size rounding units.
+    n above ENUMERATION_BOUND is refused, and so are counts past the
+    float range: by an lgamma lower bound before any count is built, or
+    by the largest count.  The variance sums the centred counts, not
+    E(R^2) - E(R)^2, which cancels when V(R) is small next to E(R)^2 (p
+    near 0 or 1).  Every sum has nonnegative terms, so each moment is off
+    by at most a few window-size rounding units.
     """
     n, p, d = model
     if n > ENUMERATION_BOUND:
@@ -236,18 +238,27 @@ def moments_exact(model: CutModel) -> RegionMoments:
         lo, hi = _binomial_window(n, p)
     else:  # X is n or 0 for certain
         lo = hi = n if p == 1.0 else 0
+    too_large = EnumerationBoundError(f"region count R({hi}, {d}) at n = {n} passes the float range")
     k = min(d, hi // 2)  # C(hi, k), the largest term of R(hi, d), bounds it below
     if math.lgamma(hi + 1) - math.lgamma(k + 1) - math.lgamma(hi - k + 1) > 1024 * math.log(2):
-        raise EnumerationBoundError(f"region count R({hi}, {d}) at n = {n} passes the float range")
-    weights = _binomial_weights(n, p, lo, hi) if lo < hi else [1.0]
+        raise too_large  # before a huge integer is built
     counts = _region_counts(lo, hi, d)
+    if counts[-1] > sys.float_info.max:  # past the lower bound above, within a few bits
+        raise too_large
+    weights = _binomial_weights(n, p, lo, hi) if lo < hi else [1.0]
     mean = _fsum(w * r for w, r in zip(weights, counts))
     second = _fsum(w * r * r for w, r in zip(weights, counts))
     centre = int(mean)  # r - mean would round a count past 2^53; r - centre is exact
     deviations = (r - centre - (mean - centre) for r in counts)
-    # weight first: a squared deviation alone may pass the float range
-    variance = _fsum(w * e * e for w, e in zip(weights, deviations))
-    return RegionMoments(mean, variance, second, "exact_enumeration")
+    # weight first: a squared deviation alone may pass the float range.  One
+    # outcome is exact: a count past 2^53 is not its own float mean.
+    variance = _fsum(w * e * e for w, e in zip(weights, deviations)) if lo < hi else 0.0
+    return RegionMoments(
+        mean=mean,
+        variance=variance,
+        second_moment=second,
+        method="exact_enumeration",
+    )
 
 
 def moments_closed_form(model: CutModel) -> RegionMoments:
@@ -255,12 +266,22 @@ def moments_closed_form(model: CutModel) -> RegionMoments:
     mean = expected_regions(model)
     variance = variance_closed_form(model)
     second = second_moment_2d(model) if model.d == 2 else variance + mean * mean
-    return RegionMoments(mean, variance, second, "closed_form")
+    return RegionMoments(
+        mean=mean,
+        variance=variance,
+        second_moment=second,
+        method="closed_form",
+    )
 
 
 def moments_asymptotic(model: CutModel) -> RegionMoments:
     """Exact mean with the leading-order variance; no second moment."""
-    return RegionMoments(expected_regions(model), variance_asymptotic(model), None, "asymptotic")
+    return RegionMoments(
+        mean=expected_regions(model),
+        variance=variance_asymptotic(model),
+        second_moment=None,
+        method="asymptotic",
+    )
 
 
 def chebyshev_tail(model: CutModel, lam: float) -> float:

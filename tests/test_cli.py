@@ -630,6 +630,7 @@ def test_moments_reports_overflowing_n(method, dim, n):
     (["--n", "10", "--p", "1", "--dim", "1000000000"], "n,p,dim,"),
     (["--n", "10000000", "--p", "0.5", "--dim", "10000000"], "Error: region count"),
     (["--n", "10000000", "--p", "1", "--dim", "10000000"], "Error: region count"),
+    (["--n", "1028", "--p", "0.5", "--dim", "600"], "Error: region count"),
 ])
 def test_moments_huge_dim_ends_within_a_second(argv, outcome):
     start = time.perf_counter()

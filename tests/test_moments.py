@@ -98,6 +98,14 @@ def test_degenerate_probabilities():
         assert moments_exact(none).variance == 0.0
     assert moments_exact(CutModel(5, 1.0, 4)).variance == 0.0
     assert expected_regions(CutModel(5, 1.0, 4)) == max_regions(5, 4)
+    # R past 2^53 is not its own float, yet a certain count has no spread
+    for n, d in ((1000, 7), (10**7, 3)):
+        sure = CutModel(n, 1.0, d)
+        assert max_regions(n, d) > 2**53 and max_regions(n, d) != int(float(max_regions(n, d)))
+        bundle = moments_exact(sure)
+        assert bundle.mean == float(max_regions(n, d))
+        assert bundle.variance == 0.0
+        assert chebyshev_tail(sure, 1.0) == 0.0
 
 
 def test_closed_forms_match_rational_enumeration():
@@ -244,6 +252,14 @@ def test_enumeration_refuses_counts_past_float_range_before_building_them(p):
     with pytest.raises(EnumerationBoundError, match="passes the float range"):
         moments_exact(CutModel(10**7, p, 10**7))
     assert time.perf_counter() - start < 0.5
+
+
+def test_enumeration_refuses_counts_just_past_float_range():
+    """C(1028, 514) < 2^1023 passes the lgamma bound, but R(1028, 600) > 2^1027."""
+    model = CutModel(1028, 0.5, 600)
+    for route in (moments_exact, lambda m: chebyshev_tail(m, 1.0)):
+        with pytest.raises(EnumerationBoundError, match="passes the float range"):
+            route(model)
 
 
 def test_enumeration_keeps_counts_within_float_range():
