@@ -321,15 +321,15 @@ def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -
     from maxdiv import fairness as fairness_mod
 
     try:
-        sd_min = fairness_mod.minimize_sd(tol)
-        mad_global, mad_locals = fairness_mod.minimize_mad(tol)
+        sd_min = fairness_mod.minimize_sd()
+        mad_global, mad_local = fairness_mod.minimize_mad(tol)
         maximin = fairness_mod.maximize_min_piece(tol)
     except ValueError as exc:
         raise CliError(str(exc))
     summary = {
         "sd_min": _optimum_entry(sd_min, precision),
         "mad_global": _optimum_entry(mad_global, precision),
-        "mad_locals": [_optimum_entry(opt, precision) for opt in mad_locals],
+        "mad_locals": [_optimum_entry(mad_local, precision)],
         "maximin": _optimum_entry(maximin, precision),
     }
     params = {"grid": grid, "tol": tol, "precision": precision}

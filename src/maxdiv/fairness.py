@@ -17,25 +17,28 @@ over the arc-length domain [0, pi/3]:
 * ``mad``  mean absolute deviation of the seven areas,
 * ``min_piece``  the smallest area (to be maximized).
 
-Each measure comes with an optimizer.  Minimization follows a fixed
-recipe: bracket candidate minima on a uniform coarse grid, refine each
-bracket by golden-section search, then rank.  The measures are piecewise
-smooth with kinks (the interesting optima sit exactly on kinks), which
-golden-section search handles as long as the bracket is unimodal.
-Maximization runs the same recipe on the negated measure.
+Each measure comes with an optimizer, and each optimum sits at a fixed
+place, which the tests pin: sd falls across the whole domain to its
+minimum at x = pi/3; mad has a global and a local minimum, each on a
+kink where some piece crosses the fair share; min_piece peaks where the
+central and the circular triangles trade places as smallest piece.  The
+sd minimum is returned as it is.  The other three are refined by
+golden-section search from a fixed bracket, two steps wide, of a
+uniform coarse grid: the bracket around the grid point where the
+measure bottoms out.  Golden section handles the kinks, since each
+bracket is unimodal.  Maximization runs on the negated measure.
 
 The table the CLI prints holds, per grid point, the three class areas
 and the three measures.  ``_measures`` computes its rows at any arc
 lengths as one flat list of floats, which the CLI formats chunk by
 chunk; its loop body is the only code that evaluates the areas.  The
-public measures, the checked one-point view ``_areas`` and the
-optimizers' bracket grid read the same cells.
+public measures and the checked one-point view ``_areas`` read the
+same cells.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -47,8 +50,12 @@ MEAN_AREA = math.pi / 7
 
 _PI2_7 = math.pi**2 / 7.0
 
-#: Coarse-grid resolution used to bracket minima before refinement.
+#: Points of the coarse grid whose steps bracket the refined optima.
 BRACKET_GRID = 4096
+
+#: Grid points where mad has its global and its local minimum and
+#: -min_piece its one: each optimum lies within a step of its point.
+_MAD_GLOBAL, _MAD_LOCAL, _MAXIMIN = 3793, 1762, 2549
 
 _SQRT3 = math.sqrt(3.0)
 _3SQRT3 = 3.0 * _SQRT3  # the first product of 3 sqrt(3) s^2, left to right
@@ -59,8 +66,8 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 class Optimum(NamedTuple):
     """A located extremum of a fairness measure.
 
-    at_boundary is true iff x_star was snapped onto pi/3; no measure
-    has an optimum at the other end, x = 0.
+    at_boundary is true for the sd minimum, which sits on the end
+    x = pi/3 of the domain; every other optimum is interior.
     """
 
     x_star: float
@@ -167,66 +174,33 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     return (a + b) / 2
 
 
-@lru_cache(maxsize=None)
-def _bracket_table() -> tuple[float, ...]:
-    """``_measures`` over the bracket grid, computed once per process and
-    shared by the three optimizers."""
-    return tuple(_measures(_grid(BRACKET_GRID)))
-
-
-def _locate_minima(f, fs, tol: float) -> list[Optimum]:
-    """Bracket-and-refine minimization of f over [0, pi/3], where fs holds
-    f at the BRACKET_GRID points of the bracket grid.
-
-    Returns every detected minimum as an Optimum, best first.  Each
-    interior grid minimum brackets one, and so does the last grid step
-    when f falls there; a minimum refined in that step within
-    max(10 tol, 1e-9) of pi/3 is snapped onto it.  No measure falls at
-    x = 0 or brackets a minimum twice; the tests pin this layout.
-    """
+def _refine(f, i: int, tol: float) -> float:
+    """Minimum of f between the bracket-grid points i - 1 and i + 1, to
+    within tol in x."""
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    xs = _bracket_table()[::7]
-
-    brackets = [
-        (xs[i - 1], xs[i + 1])
-        for i in range(1, BRACKET_GRID - 1)
-        if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]
-    ]
-    if fs[-1] < fs[-2]:
-        brackets.append((xs[-2], xs[-1]))
-
-    snap = max(10.0 * tol, 1e-9)
-    found: list[Optimum] = []
-    for lo, hi in brackets:
-        x_star = _golden_section(f, lo, hi, tol)
-        at_boundary = hi == xs[-1] and ARC_MAX - x_star <= snap
-        if at_boundary:
-            x_star = ARC_MAX
-        found.append(Optimum(x_star, f(x_star), at_boundary))
-
-    found.sort(key=lambda opt: (opt.objective_value, opt.x_star))
-    return found
+    lo, _, hi = _grid(BRACKET_GRID, i - 1, i + 2)
+    return _golden_section(f, lo, hi, tol)
 
 
-def minimize_sd(tol: float = 1e-10) -> Optimum:
+def minimize_sd() -> Optimum:
     """Arc length minimizing the standard deviation of the areas.
 
     The deviation decreases across the whole domain, so the minimum
     sits on the boundary at x = pi/3, where the central triangle
     vanishes and six pieces share everything.
     """
-    return _locate_minima(sd, _bracket_table()[4::7], tol)[0]
+    return Optimum(ARC_MAX, sd(ARC_MAX), True)
 
 
-def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, list[Optimum]]:
+def minimize_mad(tol: float = 1e-10) -> tuple[Optimum, Optimum]:
     """Global and local minimizers of the mean absolute deviation.
 
-    Returns (global_minimum, other_minima), 0.126 and [0.304]: they never
-    tie, and each sits on a kink where some piece crosses the fair share.
+    Returns (global_minimum, local_minimum), 0.126 and 0.304: each sits
+    on a kink where some piece crosses the fair share.
     """
-    best, *others = _locate_minima(mad, _bracket_table()[5::7], tol)
-    return best, others
+    best, local = (_refine(mad, i, tol) for i in (_MAD_GLOBAL, _MAD_LOCAL))
+    return Optimum(best, mad(best), False), Optimum(local, mad(local), False)
 
 
 def maximize_min_piece(tol: float = 1e-10) -> Optimum:
@@ -241,9 +215,8 @@ def maximize_min_piece(tol: float = 1e-10) -> Optimum:
             f"tolerance must be positive and finite and tol/2 must not underflow"
             f" to 0.0, got {tol!r}"
         )
-    fs = [-v for v in _bracket_table()[6::7]]
-    best = _locate_minima(lambda x: -min_piece(x), fs, tol / 2)[0]
-    return Optimum(best.x_star, -best.objective_value, best.at_boundary)
+    x_star = _refine(lambda x: -min_piece(x), _MAXIMIN, tol / 2)
+    return Optimum(x_star, min_piece(x_star), False)
 
 
 def _areas(x: float) -> tuple[float, float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from typing import NamedTuple
 
 #: Interior intersections must clear the circle, each other, and the chord
@@ -75,18 +76,6 @@ class Chord(NamedTuple):
         )
 
 
-class ChordSet(tuple):
-    """A collection of chords intended to divide the disk maximally: the
-    tuple of its chords, which ``chords`` also names."""
-
-    __slots__ = ()
-
-    def __new__(cls, chords: tuple[Chord, ...]):
-        return super().__new__(cls, chords)
-
-    chords = property(lambda self: self)
-
-
 def _intersection(a: Chord, b: Chord) -> tuple[float, float] | None:
     ax, ay = a.normal
     bx, by = b.normal
@@ -98,7 +87,7 @@ def _intersection(a: Chord, b: Chord) -> tuple[float, float] | None:
     return (px, py)
 
 
-def validate_chord_set(chord_set: ChordSet) -> list[tuple[int, int, tuple[float, float]]]:
+def validate_chord_set(chords: Sequence[Chord]) -> list[tuple[int, int, tuple[float, float]]]:
     """Check the maximal-arrangement invariants.
 
     Every pair of chords must cross strictly inside the disk, no two may
@@ -110,14 +99,14 @@ def validate_chord_set(chord_set: ChordSet) -> list[tuple[int, int, tuple[float,
     DegenerateConfigurationError for any other violated invariant.
     """
     endpoints: list[tuple[float, float]] = []
-    for chord in chord_set.chords:
+    for chord in chords:
         endpoints.extend(chord.endpoints())
 
     crossings: list[tuple[int, int, tuple[float, float]]] = []
-    m = len(chord_set.chords)
+    m = len(chords)
     for i in range(m):
         for j in range(i + 1, m):
-            point = _intersection(chord_set.chords[i], chord_set.chords[j])
+            point = _intersection(chords[i], chords[j])
             if point is None:
                 raise DegenerateConfigurationError(f"chords {i} and {j} are parallel")
             if math.hypot(*point) > 1.0 - GENERAL_POSITION_TOL:
@@ -142,7 +131,7 @@ def validate_chord_set(chord_set: ChordSet) -> list[tuple[int, int, tuple[float,
     return crossings
 
 
-def count_regions_geometric(chord_set: ChordSet) -> int:
+def count_regions_geometric(chords: Sequence[Chord]) -> int:
     """Count the pieces a chord set cuts the disk into, via Euler's formula.
 
     Builds the planar subdivision instead of trusting any counting
@@ -151,8 +140,8 @@ def count_regions_geometric(chord_set: ChordSet) -> int:
     crossings plus the 2n boundary arcs, and V - E + F = 2 gives the
     face count of the connected subdivision.
     """
-    n = len(chord_set)
-    crossings = validate_chord_set(chord_set)
+    n = len(chords)
+    crossings = validate_chord_set(chords)
     per_chord = [0] * n
     for i, j, _ in crossings:
         per_chord[i] += 1
@@ -163,7 +152,7 @@ def count_regions_geometric(chord_set: ChordSet) -> int:
     return faces - 1
 
 
-def random_chord_set(n: int, seed: int) -> ChordSet:
+def random_chord_set(n: int, seed: int) -> tuple[Chord, ...]:
     """Sample a valid maximal arrangement of n chords, deterministically.
 
     Each candidate line takes a normal direction uniform on [0, pi) and
@@ -178,11 +167,9 @@ def random_chord_set(n: int, seed: int) -> ChordSet:
         raise ValueError(f"need at least one chord, got {n}")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
-        candidate = ChordSet(
-            tuple(
-                Chord(angle=rng.uniform(0.0, math.pi), offset=rng.uniform(-0.2, 0.2))
-                for _ in range(n)
-            )
+        candidate = tuple(
+            Chord(angle=rng.uniform(0.0, math.pi), offset=rng.uniform(-0.2, 0.2))
+            for _ in range(n)
         )
         try:
             validate_chord_set(candidate)

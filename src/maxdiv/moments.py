@@ -152,9 +152,14 @@ def _binomial_window(n: int, p: float) -> tuple[int, int]:
 
 
 def _fsum(terms: Iterable[float]) -> float:
-    """math.fsum, largest terms first: it rounds correctly in any order,
-    but the tiny terms of a window's tails slow it down several times."""
-    return math.fsum(sorted(terms, reverse=True))
+    """math.fsum of nonnegative terms, largest first: it rounds correctly
+    in any order, but the tiny terms of a window's tails slow it down
+    several times.  A sum past the float range is inf; fsum raises there.
+    """
+    try:
+        return math.fsum(sorted(terms, reverse=True))
+    except OverflowError:
+        return math.inf
 
 
 def _binomial_weights(n: int, p: float, lo: int, hi: int) -> list[float]:

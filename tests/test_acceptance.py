@@ -51,7 +51,7 @@ def test_criterion_01_conservation():
 
 
 def test_criterion_02_sd_minimizer():
-    opt = fairness_mod.minimize_sd(tol=1e-10)
+    opt = fairness_mod.minimize_sd()
     triangle, circular_triangle, circular_trapezoid = _areas(opt.x_star)
     ok = (
         opt.x_star == math.pi / 3
@@ -66,12 +66,12 @@ def test_criterion_02_sd_minimizer():
 
 def test_criterion_03_mad_optima():
     start = time.perf_counter()
-    best, others = fairness_mod.minimize_mad(tol=1e-10)
+    best, local = fairness_mod.minimize_mad(tol=1e-10)
     elapsed = time.perf_counter() - start
-    ok = elapsed < 1.0 and len(others) == 1
+    ok = elapsed < 1.0
     for opt, x_ref, areas_ref in (
         (best, 0.96976, (0.00779, 0.44880, 0.59581)),
-        (others[0], 0.45061, (0.44880, 0.09399, 0.80361)),
+        (local, 0.45061, (0.44880, 0.09399, 0.80361)),
     ):
         ok = ok and abs(opt.x_star - x_ref) <= 1e-3
         for got, want in zip(_areas(opt.x_star), areas_ref):

@@ -631,6 +631,7 @@ def test_moments_reports_overflowing_n(method, dim, n):
     (["--n", "10000000", "--p", "0.5", "--dim", "10000000"], "Error: region count"),
     (["--n", "10000000", "--p", "1", "--dim", "10000000"], "Error: region count"),
     (["--n", "1028", "--p", "0.5", "--dim", "600"], "Error: region count"),
+    (["--n", "1000", "--p", "0.5", "--dim", "180"], "Error: the exact route's variance is inf"),
 ])
 def test_moments_huge_dim_ends_within_a_second(argv, outcome):
     start = time.perf_counter()

@@ -472,7 +472,7 @@ def test_result_types_are_frozen():
 
     chord = geometry.Chord(0.5, 0.1)
     model = CutModel(3, 0.5, 2)
-    for value, field in [(ns, "sigma"), (chord, "offset"), (geometry.ChordSet((chord,)), "chords"),
+    for value, field in [(ns, "sigma"), (chord, "offset"),
                          (model, "p"), (moments.moments_exact(model), "mean"),
                          (fairness.Optimum(1.0, 2.0, False), "x_star")]:
         with pytest.raises(AttributeError):

@@ -1,5 +1,8 @@
+import json
 import math
 import statistics
+import subprocess
+import sys
 
 import pytest
 from clirun import invoke
@@ -165,13 +168,10 @@ def test_min_piece_consistency():
 
 
 def test_minimize_sd_boundary_optimum():
-    opt = minimize_sd(tol=1e-10)
+    opt = minimize_sd()
     assert opt.x_star == ARC_MAX
     assert opt.at_boundary
     assert opt.objective_value == pytest.approx(math.pi / math.sqrt(294), abs=1e-9)
-    # the global minimum ranks first among the minima located
-    assert all(opt.objective_value <= other.objective_value
-               for other in fairness._locate_minima(sd, fairness._bracket_table()[4::7], 1e-10))
 
 
 def test_minimize_sd_is_global():
@@ -181,35 +181,54 @@ def test_minimize_sd_is_global():
 
 
 def test_bracket_layout_of_each_measure():
-    """The layout _locate_minima relies on: on the bracket grid, sd still
-    falls at its right end and has no interior minimum, mad has two
-    interior minima and -min_piece one, no bracket starts at x = 0, and
-    the local mad minimum is clearly above the global one."""
-    table = fairness._bracket_table()
-    xs = table[::7]
-    assert xs == tuple(fairness._grid(fairness.BRACKET_GRID))
-    assert table[4::7] == tuple(map(sd, xs))
-    assert table[5::7] == tuple(map(mad, xs))
-    assert table[6::7] == tuple(map(min_piece, xs))
+    """The fixed brackets are the ones the bracket grid shows: sd falls at
+    every step to the right end, mad's grid minima are exactly the global
+    and the local bracket points, with neither end among them, and
+    -min_piece's only grid minimum is the maximin bracket point.  The
+    local mad minimum is clearly above the global one."""
+    table = fairness._measures(fairness._grid(fairness.BRACKET_GRID))
+    sds, mads, negated = table[4::7], table[5::7], [-v for v in table[6::7]]
 
-    def layout(fs):
-        interior = [i for i in range(1, len(xs) - 1) if fs[i] <= fs[i - 1] and fs[i] <= fs[i + 1]]
-        return interior, fs[0] < fs[1], fs[-1] < fs[-2]
+    def minima(fs):
+        return [i for i in range(len(fs))
+                if (i == 0 or fs[i] <= fs[i - 1]) and (i == len(fs) - 1 or fs[i] <= fs[i + 1])]
 
-    assert layout(table[4::7]) == ([], False, True)
-    interior, left, right = layout(table[5::7])
-    assert len(interior) == 2 and not left and not right
-    interior_max, left, right = layout([-v for v in table[6::7]])
-    assert len(interior_max) == 1 and not left and not right
-    assert 1 not in interior + interior_max
-    best, (local,) = minimize_mad()
+    assert minima(sds) == [fairness.BRACKET_GRID - 1]
+    assert all(a > b for a, b in zip(sds, sds[1:]))
+    assert minima(mads) == [fairness._MAD_LOCAL, fairness._MAD_GLOBAL]
+    assert minima(negated) == [fairness._MAXIMIN]
+    assert mads[fairness._MAD_LOCAL] > mads[fairness._MAD_GLOBAL] + 1e-3
+    best, local = minimize_mad()
     assert local.objective_value > best.objective_value + 1e-3
 
 
+def test_optimizers_evaluate_few_kernel_rows():
+    """The three optimizers together, at the default tol, evaluate about
+    a hundred rows of the kernel: one for sd, and the golden-section
+    steps of the three refined optima.  Run in a fresh process, so that
+    nothing a test computed earlier is reused."""
+    script = (
+        "from maxdiv import fairness\n"
+        "rows = 0\n"
+        "measures = fairness._measures\n"
+        "def counted(xs):\n"
+        "    global rows\n"
+        "    cells = measures(xs)\n"
+        "    rows += len(cells) // 7\n"
+        "    return cells\n"
+        "fairness._measures = counted\n"
+        "fairness.minimize_sd(), fairness.minimize_mad(), fairness.maximize_min_piece()\n"
+        "print(rows)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) < 200
+
+
 def test_minimize_mad_global():
-    best, others = minimize_mad(tol=1e-10)
+    best, local = minimize_mad(tol=1e-10)
     x_ref, areas_ref = MAD_GLOBAL
-    assert others and all(best.objective_value < other.objective_value for other in others)
+    assert best.objective_value < local.objective_value
     assert not best.at_boundary
     assert best.x_star == pytest.approx(x_ref, abs=1e-3)
     for got, want in zip(_areas(best.x_star), areas_ref):
@@ -217,9 +236,8 @@ def test_minimize_mad_global():
 
 
 def test_minimize_mad_local():
-    best, others = minimize_mad(tol=1e-10)
-    assert len(others) == 1
-    (local,) = others
+    best, local = minimize_mad(tol=1e-10)
+    assert not local.at_boundary
     x_ref, areas_ref = MAD_LOCAL
     assert local.x_star == pytest.approx(x_ref, abs=1e-3)
     for got, want in zip(_areas(local.x_star), areas_ref):
@@ -238,7 +256,7 @@ def test_minimize_mad_is_global():
 
 def test_mad_minima_sit_on_fair_share_kinks():
     # each minimum is where some piece crosses pi/7 exactly
-    best, (local,) = minimize_mad(tol=1e-12)
+    best, local = minimize_mad(tol=1e-12)
     assert _areas(best.x_star)[1] == pytest.approx(MEAN_AREA, abs=1e-9)
     assert _areas(local.x_star)[0] == pytest.approx(MEAN_AREA, abs=1e-9)
 
@@ -265,6 +283,56 @@ def test_maximize_min_piece_is_global():
         assert min_piece(x) <= opt.objective_value + 1e-12
 
 
+# float.hex of (x_star, objective_value) and at_boundary of each optimum,
+# in the order sd minimum, mad global, mad local, maximin.  Tolerances
+# at or below 1e-20 meet float spacing, and those from 0.01 up end
+# golden section before its first step.
+_FINE = [
+    ("0x1.0c152382d7365p+0", "0x1.773cc89b781e3p-3", True),
+    ("0x1.f084e8e51079cp-1", "0x1.020e5db05d9f8p-3", False),
+    ("0x1.cd6c838860362p-2", "0x1.376b2a568ba5bp-2", False),
+    ("0x1.4dd302a2c2d96p-1", "0x1.9a20c83047a14p-3", False),
+]
+_COARSE = [
+    _FINE[0],
+    ("0x1.f09fb05fb8d10p-1", "0x1.0214823d24a88p-3", False),
+    ("0x1.cd67360e04313p-2", "0x1.376d1b4037f60p-2", False),
+    ("0x1.4dbeab3d6cf2cp-1", "0x1.99edafc9de01ap-3", False),
+]
+OPTIMA_BITS = {
+    1e-323: _FINE,
+    1e-20: _FINE,
+    1e-10: [
+        _FINE[0],
+        ("0x1.f084e8e53be07p-1", "0x1.020e5db067977p-3", False),
+        ("0x1.cd6c8388923f3p-2", "0x1.376b2a568e32bp-2", False),
+        ("0x1.4dd302a2bbc5bp-1", "0x1.9a20c83035da2p-3", False),
+    ],
+    1e-4: [
+        _FINE[0],
+        ("0x1.f0891affa0f54p-1", "0x1.020f5458d949fp-3", False),
+        ("0x1.cd74ba419eeaap-2", "0x1.376b957d30a22p-2", False),
+        ("0x1.4dd3626d5da5ep-1", "0x1.9a1f48ef4aef3p-3", False),
+    ],
+    0.01: _COARSE,
+    1.0: _COARSE,
+    1e300: _COARSE,
+}
+
+
+@pytest.mark.parametrize("tol", sorted(OPTIMA_BITS))
+def test_optima_keep_their_bits(tol):
+    """Every optimum `fairness` reports, bit for bit, at tolerances across
+    the accepted range.  At --precision 17 the JSON summary rounds each
+    value to itself, so it holds the bits; the pinned digests round to 10
+    places and would miss a move of one unit in the last place."""
+    res = invoke("fairness", "--grid", "2", "--tol", repr(tol), "--format", "json", "--precision", "17")
+    assert res.exit_code == 0
+    summary = json.loads(res.stdout)["summary"]
+    optima = [summary["sd_min"], summary["mad_global"], *summary["mad_locals"], summary["maximin"]]
+    assert [(opt["x_star"].hex(), opt["objective"].hex(), opt["at_boundary"]) for opt in optima] == OPTIMA_BITS[tol]
+
+
 def test_optimizers_deterministic_across_reruns():
     assert minimize_sd() == minimize_sd()
     assert minimize_mad() == minimize_mad()
@@ -273,11 +341,9 @@ def test_optimizers_deterministic_across_reruns():
 
 def test_optimizers_reject_bad_tol():
     with pytest.raises(ValueError):
-        minimize_sd(tol=0.0)
-    with pytest.raises(ValueError):
         minimize_mad(tol=-1e-3)
     for tol in (math.nan, math.inf, -math.inf, 0.0):
-        for optimizer in (minimize_sd, minimize_mad, maximize_min_piece):
+        for optimizer in (minimize_mad, maximize_min_piece):
             with pytest.raises(ValueError):
                 optimizer(tol=tol)
 
@@ -306,7 +372,7 @@ def test_scan_rows_equal_the_public_measures():
     the three acceptance optima hold, in the CLI's column order x, alpha1,
     alpha2, alpha3, sd, mad, min_piece, exactly the values of the
     one-measure-at-a-time routes."""
-    mad_global, (mad_local,) = minimize_mad()
+    mad_global, mad_local = minimize_mad()
     optima = [mad_global.x_star, mad_local.x_star, maximize_min_piece().x_star]
     for row in table_rows(1001) + [fairness._measures((x,)) for x in optima]:
         x = row[0]

@@ -6,7 +6,6 @@ from maxdiv import geometry
 from maxdiv.fairness import ARC_MAX, _areas
 from maxdiv.geometry import (
     Chord,
-    ChordSet,
     DegenerateConfigurationError,
     InvalidChordError,
     count_regions_geometric,
@@ -31,7 +30,7 @@ CHECKPOINTS = [
 ]
 
 
-def signature_region_count(chord_set):
+def signature_region_count(chords):
     """Independent region count: distinct side-of-chord sign vectors.
 
     Regions of a line arrangement restricted to the disk are convex, so
@@ -39,8 +38,7 @@ def signature_region_count(chord_set):
     one vertex of the subdivision.  Probing a small ring around every
     vertex therefore visits every region.
     """
-    chords = chord_set.chords
-    crossings = validate_chord_set(chord_set)
+    crossings = validate_chord_set(chords)
     ring = [(math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)) for k in range(16)]
     centers = [p for _, _, p in crossings]
     for c in chords:
@@ -161,12 +159,12 @@ def test_max_regions_rejects_bad_input():
 
 
 def test_count_regions_empty_and_single():
-    assert count_regions_geometric(ChordSet(())) == 1
-    assert count_regions_geometric(ChordSet((Chord(0.3, 0.1),))) == 2
+    assert count_regions_geometric(()) == 1
+    assert count_regions_geometric((Chord(0.3, 0.1),)) == 2
 
 
 def test_count_regions_hand_built_three_chords():
-    cs = ChordSet(tuple(Chord(angle=k * math.pi / 3, offset=0.1) for k in range(3)))
+    cs = tuple(Chord(angle=k * math.pi / 3, offset=0.1) for k in range(3))
     assert count_regions_geometric(cs) == 7
     assert signature_region_count(cs) == 7
 
@@ -190,7 +188,7 @@ def test_random_chord_set_deterministic():
 
 def test_random_chord_set_respects_bounds():
     cs = random_chord_set(6, 7)
-    for c in cs.chords:
+    for c in cs:
         assert 0.0 <= c.angle <= math.pi
         assert -0.2 <= c.offset <= 0.2
 
@@ -201,30 +199,30 @@ def test_random_chord_set_rejects_bad_n():
 
 
 def test_validate_rejects_parallel():
-    cs = ChordSet((Chord(0.5, 0.0), Chord(0.5, 0.1)))
+    cs = (Chord(0.5, 0.0), Chord(0.5, 0.1))
     with pytest.raises(DegenerateConfigurationError):
         validate_chord_set(cs)
 
 
 def test_validate_rejects_concurrent():
     # three distinct diameters all pass through the origin
-    cs = ChordSet((Chord(0.1, 0.0), Chord(1.0, 0.0), Chord(2.0, 0.0)))
+    cs = (Chord(0.1, 0.0), Chord(1.0, 0.0), Chord(2.0, 0.0))
     with pytest.raises(DegenerateConfigurationError):
         validate_chord_set(cs)
 
 
 def test_validate_rejects_exterior_crossing():
     # nearly parallel chords meet far outside the disk
-    cs = ChordSet((Chord(0.5, 0.1), Chord(0.5 + 1e-3, -0.1)))
+    cs = (Chord(0.5, 0.1), Chord(0.5 + 1e-3, -0.1))
     with pytest.raises(DegenerateConfigurationError):
         validate_chord_set(cs)
 
 
 def test_validate_rejects_line_missing_disk():
     with pytest.raises(InvalidChordError):
-        ChordSet((Chord(0.0, 1.5),)).chords[0].endpoints()
+        Chord(0.0, 1.5).endpoints()
     with pytest.raises(InvalidChordError):
-        count_regions_geometric(ChordSet((Chord(0.0, 1.0), Chord(1.0, 0.0))))
+        count_regions_geometric((Chord(0.0, 1.0), Chord(1.0, 0.0)))
 
 
 def test_general_position_margin_exposed():

@@ -265,6 +265,18 @@ def test_enumeration_keeps_counts_within_float_range():
     assert bundle.variance == math.inf
 
 
+def test_moment_sums_past_float_range_are_inf():
+    """R(1000, 180) < 2^676 is a float, but the second moment's terms pass
+    the float range, and math.fsum raises OverflowError on such a sum.
+    The sum is inf instead, so is the variance, and the Chebyshev bound
+    is 1."""
+    model = CutModel(1000, 0.5, 180)
+    bundle = moments_exact(model)
+    assert math.isfinite(bundle.mean)
+    assert bundle.second_moment == bundle.variance == math.inf
+    assert chebyshev_tail(model, 1.0) == 1.0
+
+
 def test_asymptotic_ratio_monotone_toward_one():
     ratios = []
     for n in (100, 300, 1000, 3000):

@@ -1,9 +1,11 @@
-"""Every public function and class of the analysis modules has a use.
+"""Every function and class of the analysis modules has a use.
 
 A top-level function or class of ``maxdiv.geometry``, ``fairness``,
 ``moments`` or ``clt`` whose name has no leading underscore must either
 be referred to by code in ``src/``, or be one of the formulas the paper
-states.  Code that only tests call belongs in ``tests/``.
+states.  A private one of those modules or of ``maxdiv.cli`` must be
+referred to by code in ``src/``.  Code that only tests call belongs in
+``tests/``.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "maxdiv"
 MODULES = ("geometry", "fairness", "moments", "clt")
+PRIVATE_MODULES = MODULES + ("cli",)
 
 #: Formulas the paper states, kept whether or not src/ calls them.  A
 #: listed formula keeps only itself: what it calls needs a use of its
@@ -59,19 +62,37 @@ def _references(module: str, tree: ast.Module) -> set[tuple[str, str]]:
     return found
 
 
-def test_every_public_name_has_a_use_in_src_or_is_a_paper_formula():
+def _used() -> set[tuple[str, str]]:
     used = set()
     for path in SRC.glob("*.py"):
         used |= _references(path.stem, _parse(path))
-    public = {
+    return used
+
+
+def _defined(modules, private: bool) -> set[tuple[str, str]]:
+    """(module, name) of the top-level functions and classes of modules
+    whose names are private, or public."""
+    return {
         (module, node.name)
-        for module in MODULES
+        for module in modules
         for node in _parse(SRC / f"{module}.py").body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_") == private
     }
+
+
+def test_every_public_name_has_a_use_in_src_or_is_a_paper_formula():
+    used = _used()
+    public = _defined(MODULES, private=False)
     assert PAPER_FORMULAS <= {name for _, name in public}
     unused = sorted(
         f"{module}.{name}" for module, name in public
         if name not in PAPER_FORMULAS and (module, name) not in used
     )
+    assert unused == [], f"only tests use {unused}: move them into tests/ or delete them"
+
+
+def test_every_private_name_has_a_use_in_src():
+    used = _used()
+    unused = sorted(f"{module}.{name}" for module, name in _defined(PRIVATE_MODULES, private=True)
+                    if (module, name) not in used)
     assert unused == [], f"only tests use {unused}: move them into tests/ or delete them"
