@@ -392,6 +392,9 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
         check.margin, check.in_clt_regime,
         normality.ks_distance, normality.mean, normality.sigma,
     )
+    for name, value in zip(CLT_HEADER, row):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"{name} is {value}, not a finite number, at --n {n} --p {p}")
     params = {"n": n, "p": p, "samples": samples, "seed": seed, "precision": precision}
     _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
 

@@ -17,9 +17,12 @@ of O(sqrt(n)) outcomes that the exact moments route enumerates.  It is
 sized by Hoeffding's inequality so that every outcome left out has
 probability below 2^-1100, under the smallest positive float64
 (2^-1074), so the windowed CDF is the full CDF as float64 holds it.
-The uniforms are drawn in chunks of CHUNK_DRAWS, and the KS run keeps
-only how often each window outcome was drawn, so it costs
-O(sqrt(n) + m) time and O(sqrt(n)) memory for m samples.
+The uniforms are multiples of 2^-53, so the sampler keeps only the
+outcomes a draw can reach (25 045 of 123 545 at n = 10^7, p = 1/2) and
+frees the window before the first draw.  They are drawn in chunks of
+CHUNK_DRAWS, and the KS run keeps only how often each kept outcome was
+drawn, so it costs O(sqrt(n) + m) time and O(sqrt(n)) memory for m
+samples: a traced peak of 2.4 MiB at n = 10^7 and 25 MiB at MAX_CUTS.
 
 numpy is imported on first use, so importing this module, and with it
 the command line, does not load numpy.
@@ -38,8 +41,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Uniforms drawn and inverted at a time; bounds the sampler's working
-#: memory at a few MiB whatever the sample count.
-CHUNK_DRAWS = 1 << 16
+#: memory at about 0.4 MiB whatever the sample count.
+CHUNK_DRAWS = 1 << 14
 
 
 class RinottTerms(NamedTuple):
@@ -149,24 +152,37 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     log f(x+1) - log f(x) = log((n - x) / (x + 1)) + log(p / q), summed
     outward from the mode in each direction.  Normalizing by the
     window's sum makes the absolute constant log f(mode) unnecessary.
+    All steps run in place, beside at most one half-window temporary.
     """
     import numpy as np
 
     lo, hi = _binomial_window(n, p)
     mode = min(max(math.floor((n + 1) * p), lo), hi)
     log_odds = math.log(p) - math.log1p(-p)
-    up = np.arange(mode, hi, dtype=np.float64)
-    down = np.arange(mode - 1, lo - 1, -1, dtype=np.float64)
-    log_up = np.cumsum(np.log((n - up) / (up + 1)) + log_odds)
-    log_down = np.cumsum(np.log((down + 1) / (n - down)) - log_odds)
-    cdf = np.cumsum(np.exp(np.concatenate((log_down[::-1], [0.0], log_up))))
-    return lo, cdf / cdf[-1]
+    cdf = np.zeros(hi - lo + 1)
+    up, down = cdf[mode - lo + 1:], cdf[:mode - lo]
+    x = np.arange(mode, hi, dtype=np.float64)
+    np.divide(np.subtract(n, x, out=up), np.add(x, 1, out=x), out=up)
+    del x
+    np.log(up, out=up)
+    up += log_odds
+    np.cumsum(up, out=up)
+    # the outcomes below the mode in increasing order, summed downward
+    x = np.arange(lo, mode, dtype=np.float64)
+    np.divide(np.add(x, 1, out=down), np.subtract(n, x, out=x), out=down)
+    np.log(down, out=down)
+    down -= log_odds
+    np.cumsum(down[::-1], out=down[::-1])
+    np.exp(cdf, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return lo, cdf
 
 
-def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterator[np.ndarray]]:
-    """(lo, size, chunks): draw i of n cuts kept with probability p is
-    lo + index i of the concatenated chunks, an index into the size
-    outcomes lo..lo + size - 1 of the window.
+def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """(outcomes, chunks): draw i of n cuts kept with probability p is
+    outcomes[index i of the concatenated chunks], where outcomes holds
+    the window outcomes a draw can reach, in increasing order.
 
     Uniform number i of a counter-based stream keyed by the seed is
     inverted through the windowed CDF.  The chunks hold at most
@@ -184,30 +200,41 @@ def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[int, int, Iterat
         raise ValueError(f"seed must be in [0, 2^128 - 1], got {seed}")
     import numpy as np
 
-    lo, cdf = _binomial_cdf(n, p)
-    invert = _inverter(cdf, m)
+    outcomes, invert = _inverter(n, p, m)
     stream = np.random.Generator(np.random.Philox(key=seed))
     chunks = (invert(stream.random(min(CHUNK_DRAWS, m - start)))
               for start in range(0, m, CHUNK_DRAWS))
-    return lo, cdf.size, chunks
+    return outcomes, chunks
 
 
-def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
-    """u -> np.searchsorted(cdf, u, side="left"), through a guide table
-    sized for m uniforms in all.
+def _inverter(n: int, p: float, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """(outcomes, invert): outcomes[invert(u)] is lo + np.searchsorted(cdf, u)
+    for (lo, cdf) = _binomial_cdf(n, p) and every u Generator.random
+    returns, through a guide table sized for m uniforms.
+
+    Those u are multiples of 2^-53 in [0, 1 - 2^-53], so only entry 0,
+    for u = 0, and the entries from the first of at least 2^-53 to the
+    first of at least 1 - 2^-53 are kept, and the window is freed.
 
     The guide table (Chen and Asau, 1974) holds the answer for each
-    bucket edge j / g.  With g a power of two, u * g and j / g are exact,
-    so a uniform u in bucket j has its answer between the answers
-    guide[j] at j / g and guide[j + 1] at (j + 1) / g; where those agree,
-    no search is needed, and where they differ by one, the answer is
-    guide[j] + (u > cdf[guide[j]]).  Only the few uniforms in wider
-    buckets are binary-searched.
+    bucket edge j / g, the number of entries below it.  At least four
+    buckets per entry, unless m is less, leave about 7 % of the uniforms
+    in a bucket holding an entry.  With g a power of two, u * g and j / g
+    are exact, so a uniform u in bucket j has its answer between guide[j]
+    and guide[j + 1]; where those agree, no search is needed, and where
+    they differ by one, the answer is guide[j] + (u > cdf[guide[j]]).
+    Only the few uniforms in wider buckets are binary-searched.
     """
     import numpy as np
 
-    g = 1 << min(cdf.size, m).bit_length()
-    guide = np.searchsorted(cdf, np.arange(g + 1) / g, side="left")
+    lo, cdf = _binomial_cdf(n, p)
+    first, last = np.searchsorted(cdf, (2.0**-53, 1.0 - 2.0**-53), side="left").tolist()
+    keep = np.r_[0, max(first, 1):last + 1]
+    cdf = cdf[keep]
+    g = 1 << min(4 * cdf.size, m).bit_length()
+    # entry i is below j / g for each j above its bucket floor(cdf[i] * g)
+    guide = np.bincount((cdf * g).astype(np.intp) + 1, minlength=g + 1)[:g + 1]
+    np.cumsum(guide, out=guide)
     steps = guide[1:] != guide[:-1]
 
     def invert(uniforms: np.ndarray) -> np.ndarray:
@@ -220,7 +247,7 @@ def _inverter(cdf: np.ndarray, m: int) -> Callable[[np.ndarray], np.ndarray]:
         index[wide] = np.searchsorted(cdf, uniforms[wide], side="left")
         return index
 
-    return invert
+    return lo + keep, invert
 
 
 @_refuse_overflow
@@ -232,21 +259,21 @@ def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     counter-based stream keyed by the seed, one of [0, 2^128 - 1],
     inverted through the binomial CDF.  Standardization uses the exact
     mean and standard deviation, never sample estimates.  The draws go
-    into a histogram over the window, chunk by chunk, and the region
-    count is computed only for the outcomes drawn; it increases with the
-    outcome, so the histogram is already sorted.
+    into a histogram over the outcomes a draw can reach, chunk by chunk,
+    and the region count is computed only for the outcomes drawn; it
+    increases with the outcome, so the histogram is already sorted.
     """
     sigma = _exact_sigma(n, p)
-    lo, size, chunks = _window_draws(n, p, m, seed)
+    outcomes, chunks = _window_draws(n, p, m, seed)
     import numpy as np
 
-    counts = np.zeros(size, dtype=np.int64)
+    counts = np.zeros(outcomes.size, dtype=np.int64)
     for index in chunks:
-        # counts over the chunk's own range, a small part of the window
+        # counts over the chunk's own range, a part of the outcomes
         low = int(index.min())
         part = np.bincount(index - low)
         counts[low:low + part.size] += part
-    x = lo + np.flatnonzero(counts)
+    x = outcomes[counts > 0]
     values = (1 + x + x * (x - 1) // 2).astype(np.float64)
     return _ks(values, counts[counts > 0], n, p, sigma)
 
@@ -259,7 +286,10 @@ def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) 
 
     mean = expected_regions(CutModel(n, p, 2))
     z = (values - mean) / sigma
-    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    phi = np.empty(z.size)
+    for start in range(0, z.size, CHUNK_DRAWS):  # not one float object per value at once
+        phi[start:start + CHUNK_DRAWS] = [0.5 * math.erfc(-v / math.sqrt(2.0))
+                                          for v in z[start:start + CHUNK_DRAWS].tolist()]
     cumulative = np.cumsum(counts)
     m = int(cumulative[-1])
     upper = float(np.max(cumulative / m - phi))

@@ -604,6 +604,16 @@ def test_fairness_grid_limit():
         assert res.stdout == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_clt_refuses_a_term_past_the_float_range(fmt):
+    """term1 is about 5e308 here: CSV would print inf, and JSON has no
+    Infinity."""
+    res = invoke("clt", "--n", "1000", "--p", "1e-200", "--samples", "3", "--format", fmt)
+    assert _single_error_line(res) and res.exit_code == 1
+    assert "term1 is inf, not a finite number, at --n 1000 --p 1e-200" in res.stderr
+    assert res.stdout == ""
+
+
 def test_clt_rejects_underflowing_sigma():
     res = invoke("clt", "--n", "2", "--p", "1e-300", "--samples", "10")
     assert _single_error_line(res)

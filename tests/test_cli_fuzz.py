@@ -2,10 +2,12 @@
 
 Each case runs `python -m maxdiv` in a fresh process.  It must either
 succeed, or fail with exactly one stderr line starting with "Error:"
-and no traceback.  Valid sizes stay small (--grid <= 5000, --samples
+and no traceback.  JSON output must parse as strict JSON, with no
+Infinity or NaN.  Valid sizes stay small (--grid <= 5000, --samples
 <= 10^4), so a case that is accepted ends in about a second.
 """
 
+import json
 import math
 import subprocess
 import sys
@@ -124,19 +126,32 @@ EDGE_CASES = [
     ["clt", "--n", "100", "--p", "nan", "--samples", "10"],
     ["clt", "--n", "100", "--p", "inf", "--samples", "10"],
     ["clt", "--n", "100", "--p", "0.5", "--samples", "10", "--out", "/dev/full"],
+    ["clt", "--n", "1000", "--p", "1e-200", "--samples", "3", "--format", "json"],
     ["oracle", "--n", "3", "--seeds", "1.0"],
     ["oracle", "--n", "3", "--seeds", "a,b"],
     ["oracle", "--n", "3", "--seeds", ","],
 ]
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _check(argv: list[str]) -> None:
     """Run one case; "{tmp}" in argv stands for a fresh temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.replace("{tmp}", tmp) for token in argv]
         proc = subprocess.run(
-            [sys.executable, "-m", "maxdiv", *(token.replace("{tmp}", tmp) for token in argv)],
-            capture_output=True, text=True, timeout=20,
+            [sys.executable, "-m", "maxdiv", *argv], capture_output=True, text=True, timeout=20,
         )
+        options = dict(zip(argv[1::2], argv[2::2]))
+        if proc.returncode == 0 and options.get("--format") == "json":
+            if options.get("--out", "-") == "-":
+                text = proc.stdout
+            else:
+                with open(options["--out"], encoding="utf-8") as handle:
+                    text = handle.read()
+            json.loads(text, parse_constant=_refuse_constant)
     assert "Traceback" not in proc.stderr, proc.stderr
     if proc.returncode != 0:
         errors = [line for line in proc.stderr.splitlines() if line.startswith("Error:")]

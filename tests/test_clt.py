@@ -41,8 +41,8 @@ def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
         raise ValueError(f"cut count must be positive, got {n}")
     if n <= MAX_CUTS and 1 <= m <= MAX_SAMPLES:
         clt._require_nondegenerate(p)
-    lo, _, chunks = clt._window_draws(n, p, m, seed)
-    x = lo + np.concatenate(list(chunks), dtype=np.int64)
+    outcomes, chunks = clt._window_draws(n, p, m, seed)
+    x = outcomes[np.concatenate(list(chunks))]
     return 1 + x + x * (x - 1) // 2
 
 
@@ -249,6 +249,22 @@ def test_samples_at_the_cut_limit_are_exact_region_counts():
         assert abs(x - MAX_CUTS * 0.9) <= 6 * sigma
 
 
+@pytest.mark.parametrize("n, m, limit_mib", [(10**7, 10**6, 3.5), (MAX_CUTS, 10**5, 32)])
+def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
+    """numpy reports its buffers to tracemalloc.  Building the window in
+    place and drawing from the reachable entries keeps the peak near
+    2.4 and 25 MiB; a window built from fresh arrays and kept for the
+    draws reads 5.3 and 65.7 MiB."""
+    sample_normality(100, 0.5, 10, 1)
+    tracemalloc.start()
+    try:
+        sample_normality(n, 0.5, m, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mib * 2**20
+
+
 def test_samples_beyond_the_cut_limit_are_refused():
     for p in (0.0, 0.9, 1.0):
         with pytest.raises(ValueError, match="int64"):
@@ -301,27 +317,79 @@ def test_windowed_sampler_matches_full_cdf(n, p):
     )
 
 
+def _concatenated_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
+    """``_binomial_cdf`` as first written: each half of the log-pmf in its
+    own array, joined by concatenate, with a fresh array for each step."""
+    lo, hi = _binomial_window(n, p)
+    mode = min(max(math.floor((n + 1) * p), lo), hi)
+    log_odds = math.log(p) - math.log1p(-p)
+    up = np.arange(mode, hi, dtype=np.float64)
+    down = np.arange(mode - 1, lo - 1, -1, dtype=np.float64)
+    log_up = np.cumsum(np.log((n - up) / (up + 1)) + log_odds)
+    log_down = np.cumsum(np.log((down + 1) / (n - down)) - log_odds)
+    cdf = np.cumsum(np.exp(np.concatenate((log_down[::-1], [0.0], log_up))))
+    return lo, cdf / cdf[-1]
+
+
+@pytest.mark.parametrize("n", [2, 10, 1000, 10**5, 10**7, MAX_CUTS])
+@pytest.mark.parametrize("p", [1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6])
+def test_cdf_built_in_place_keeps_the_bits_of_the_concatenated_formula(n, p):
+    """Windows clipped at 0 and at n, and modes at either end, included."""
+    lo, cdf = _binomial_cdf(n, p)
+    expected_lo, expected = _concatenated_cdf(n, p)
+    assert lo == expected_lo
+    assert np.array_equal(cdf, expected)
+
+
+@pytest.mark.parametrize("key", [0, 1, 5, 2**64 + 3, MAX_SEED])
+def test_uniforms_are_multiples_of_2_pow_minus_53(key):
+    """The sampler keeps only the CDF entries that such uniforms can reach;
+    a finer Generator.random would land draws below 2^-53 on the wrong
+    outcome, so it must fail here."""
+    scaled = np.random.Generator(np.random.Philox(key=key)).random(10**5) * 2.0**53
+    assert np.array_equal(scaled, np.floor(scaled))
+
+
 def test_guided_inversion_equals_binary_search():
     """Every draw, in an easy bucket, a bucket with one CDF step or a
-    wider one, gets the index a binary search over the whole window gives."""
+    wider one, gets the outcome a binary search over the whole window
+    gives: the uniforms, multiples of 2^-53 as Generator.random returns,
+    include those just below and just above each CDF entry and bucket
+    edge, 0, 2^-53 and 1 - 2^-53."""
+    ulp = 2.0**-53
     for n, p in [(1000, 0.3), (10**7, 0.5), (100, 0.9), (10**5, 0.01)]:
-        _, cdf = _binomial_cdf(n, p)
-        # bucket edges j / g of every guide size the window can get, the
-        # floats just below them, and the CDF values themselves, all inside [0, 1)
-        edges = np.concatenate([np.arange(2**k) / 2**k for k in range(cdf.size.bit_length() + 1)])
-        edges = np.concatenate((edges, np.nextafter(edges[1:], 0.0), cdf, [np.nextafter(1.0, 0.0)]))
-        edges = np.unique(edges[edges < 1.0])
+        lo, cdf = _binomial_cdf(n, p)
+        # bucket edges j / g of every guide size the window can get, and
+        # the lattice points just below them
+        edges = np.concatenate([np.arange(2**k) / 2**k for k in range(cdf.size.bit_length() + 3)])
+        lattice = np.concatenate((np.floor(cdf / ulp), np.ceil(cdf / ulp), edges / ulp,
+                                  edges / ulp - 1, [0.0, 1.0, 2.0**53 - 1])) * ulp
+        lattice = np.unique(lattice[(lattice >= 0.0) & (lattice < 1.0)])
         rng = np.random.Generator(np.random.Philox(key=5))
         draws = (rng.random(1), rng.random(7), rng.random(5000), rng.random(CHUNK_DRAWS))
-        for uniforms in (*draws, edges):
+        for uniforms in (*draws, lattice):
             # a guide sized for this batch, and guides sized for more or fewer draws
             for m in (uniforms.size, 1, 3, 10**6):
+                outcomes, invert = _inverter(n, p, m)
                 assert np.array_equal(
-                    _inverter(cdf, m)(uniforms), np.searchsorted(cdf, uniforms, side="left")
+                    outcomes[invert(uniforms)], lo + np.searchsorted(cdf, uniforms, side="left")
                 )
 
 
-@pytest.mark.parametrize("m", [CHUNK_DRAWS - 1, CHUNK_DRAWS, CHUNK_DRAWS + 1, 3 * CHUNK_DRAWS + 5])
+def test_inverter_keeps_only_the_reachable_entries():
+    """At n = 10^7, p = 1/2 the CDF entries from the first of at least
+    2^-53 to the first of at least 1 - 2^-53, and the first entry."""
+    lo, cdf = _binomial_cdf(10**7, 0.5)
+    outcomes, _ = _inverter(10**7, 0.5, 10**6)
+    first = int(np.searchsorted(cdf, 2.0**-53))
+    assert (cdf.size, outcomes.size) == (123_545, 25_045)
+    assert outcomes[0] == lo and outcomes[1] == lo + first
+    assert cdf[outcomes[-1] - lo - 1] < 1.0 - 2.0**-53 <= cdf[outcomes[-1] - lo]
+    assert np.array_equal(np.diff(outcomes[1:]), np.ones(outcomes.size - 2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("m", [4 * CHUNK_DRAWS - 1, 4 * CHUNK_DRAWS, 4 * CHUNK_DRAWS + 1,
+                               12 * CHUNK_DRAWS + 5])
 def test_streamed_draws_equal_one_shot_draws(m):
     """Chunked draws are the draws of one stream.random(m) call, inverted
     by binary search over the same windowed CDF."""
@@ -333,15 +401,15 @@ def test_streamed_draws_equal_one_shot_draws(m):
 
 
 @pytest.mark.parametrize("n, p, m, seed", [
-    (2, 0.5, 3 * CHUNK_DRAWS + 5, 1),
-    (2, 1e-6, CHUNK_DRAWS + 1, 2),
+    (2, 0.5, 12 * CHUNK_DRAWS + 5, 1),
+    (2, 1e-6, 4 * CHUNK_DRAWS + 1, 2),
     (3, 1 - 1e-6, 1000, 3),
     (10, 0.5, 1, 4),
-    (10**4, 0.5, 2 * CHUNK_DRAWS, 5),
+    (10**4, 0.5, 8 * CHUNK_DRAWS, 5),
     # windows clipped at 0 and at n
-    (10**6, 1e-4, CHUNK_DRAWS - 1, 6),
-    (10**6, 1 - 1e-4, CHUNK_DRAWS, 7),
-    (10**7, 0.5, 5 * CHUNK_DRAWS + 3, 8),
+    (10**6, 1e-4, 4 * CHUNK_DRAWS - 1, 6),
+    (10**6, 1 - 1e-4, 4 * CHUNK_DRAWS, 7),
+    (10**7, 0.5, 20 * CHUNK_DRAWS + 3, 8),
     (MAX_CUTS, 0.9, 3000, 9),
 ])
 def test_histogram_ks_equals_ks_of_the_samples(n, p, m, seed):
@@ -429,6 +497,28 @@ def test_ks_matches_brute_force_with_heavy_ties():
     assert result.ks_distance == pytest.approx(
         _brute_force_ks(samples, result.mean, result.sigma), abs=1e-15
     )
+
+
+@pytest.mark.parametrize("heavy", [0, CHUNK_DRAWS - 1, CHUNK_DRAWS, 2 * CHUNK_DRAWS + 7,
+                                   3 * CHUNK_DRAWS + 4])
+def test_ks_over_several_chunks_of_values_equals_one_pass(heavy):
+    """_ks evaluates the normal CDF a chunk of values at a time.  With
+    nearly all the sample on one value, the distance is set by the CDF
+    there, so each case checks it, in another chunk, against one pass
+    over all the values."""
+    n, p = 10**9, 0.5
+    sigma = clt._exact_sigma(n, p)
+    mean = expected_regions(CutModel(n, p, 2))
+    values = mean + sigma * np.linspace(-6.0, 6.0, 3 * CHUNK_DRAWS + 5)
+    counts = np.ones(values.size, dtype=np.int64)
+    counts[heavy] = 10**12
+    z = (values - mean) / sigma
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    cumulative = np.cumsum(counts)
+    m = int(cumulative[-1])
+    upper, lower = np.max(cumulative / m - phi), np.max(phi - (cumulative - counts) / m)
+    expected = max(float(upper), float(lower))
+    assert clt._ks(values, counts, n, p, sigma).ks_distance == expected
 
 
 def test_ks_improves_with_n():
