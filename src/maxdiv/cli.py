@@ -18,7 +18,9 @@ small parser on the standard library alone; ``--help`` prints them.  The
 exit status is 0 for success, 1 for a failed run and 2 for a usage
 error, and each failure writes one "Error:" line to standard error.
 Each subcommand imports the analysis module it calls, and json is
-imported only for JSON output, so a run loads only what it uses.
+imported only for JSON output, so a run loads only what it uses; ``clt``
+also keeps OpenSSL unloaded where CPython's own hash modules exist,
+which leaves the process the built-in hashlib.
 """
 
 from __future__ import annotations
@@ -371,13 +373,31 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
 
 
+def _leave_openssl_unloaded() -> None:
+    """Make a later ``import _hashlib`` fail, unless it already ran, so
+    that hashlib and hmac use CPython's own hash modules, as on a build
+    without OpenSSL, and libcrypto (3.5 MiB of peak RSS) stays unmapped.
+
+    Only where all of those modules exist: for a missing one, hashlib's
+    import would log an error and a traceback to standard error.
+    """
+    from importlib.util import find_spec
+
+    sha2 = ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+    if all(find_spec(name) for name in ("_md5", "_sha1", "_sha3", "_blake2", *sha2)):
+        sys.modules.setdefault("_hashlib", None)
+
+
 def cmd_clt(n: int, p: float, samples: int, seed: int,
             format: str, out: str, precision: int) -> None:
     """Rinott terms, CLT threshold margin, and an empirical KS distance."""
     # numpy's import starts one OpenBLAS worker thread per core, which
     # costs CPU time although clt does no linear algebra; one thread
-    # unless the caller chose otherwise.  Must precede numpy's import.
+    # unless the caller chose otherwise.  numpy.random loads OpenSSL
+    # through secrets and hmac although the keyed stream hashes nothing;
+    # see _leave_openssl_unloaded.  Both must precede numpy's import.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    _leave_openssl_unloaded()
     from maxdiv import clt as clt_mod
 
     try:

@@ -31,6 +31,8 @@ ENUMERATION_BOUND = 10**7
 # 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
 _WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 class UnsupportedDimensionError(ValueError):
     """No closed form is implemented for this dimension."""
@@ -128,15 +130,33 @@ def variance_closed_form(model: CutModel) -> float:
 
 
 def variance_asymptotic(model: CutModel) -> float:
-    """Leading-order variance: n^3 p^3 (1-p) for d = 2, n^5 p^5 (1-p)/4 for d = 3."""
-    n, p = model.n, model.p
-    if model.d == 2:
-        return n**3 * p**3 * (1.0 - p)
-    if model.d == 3:
-        return 0.25 * n**5 * p**5 * (1.0 - p)
-    raise UnsupportedDimensionError(
-        f"asymptotic variance covers d in {{2, 3}}, got d = {model.d}"
-    )
+    """Leading-order variance as n grows at fixed d, for any d >= 1.
+
+    R ~ X^d / d!, so V(R) ~ n^(2d-1) p^(2d-1) q / ((d-1)!)^2 with
+    q = 1 - p: n p q (the exact variance) at d = 1, n^3 p^3 q at d = 2
+    and n^5 p^5 q / 4 at d = 3.  The form does not hold once d nears n,
+    where R = 2^X.
+
+    The size is decided in logs before any power or factorial is built,
+    so a huge d costs no time.  Past the float range this raises
+    OverflowError.  Where n^(2d-1) and ((d-1)!)^2 are floats, the
+    products run as written; elsewhere the result is exp of the log,
+    which is 0.0 below the smallest subnormal.
+    """
+    n, p, d = model
+    q = 1.0 - p
+    if p == 0.0 or q == 0.0:
+        return 0.0
+    k = 2 * d - 1
+    log_v = k * (math.log(n) + math.log(p)) + math.log(q) - 2 * math.lgamma(d)
+    if log_v > _LOG_FLOAT_MAX:
+        raise OverflowError(
+            f"the variance at d = {d} is about 10^{log_v / math.log(10):.0f}, past the float range"
+        )
+    if k * math.log(n) < _LOG_FLOAT_MAX and 2 * math.lgamma(d) < _LOG_FLOAT_MAX:
+        # int / int rounds once, so n**5 / 4 has the bits of 0.25 * n**5
+        return n**k / math.factorial(d - 1) ** 2 * p**k * q
+    return math.exp(log_v)
 
 
 def _binomial_window(n: int, p: float) -> tuple[int, int]:

@@ -631,6 +631,7 @@ def test_moments_reports_overflowing_n(method, dim, n):
     res = invoke("moments", "--n", str(n), "--p", "0.5", "--dim", dim, "--method", method)
     assert _single_error_line(res)
     assert "too large" in res.stderr
+    assert method != "asymptotic" or f"d = {dim} is about" in res.stderr
 
 
 @pytest.mark.parametrize("argv, outcome", [
@@ -686,7 +687,8 @@ def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field
 def test_subcommands_other_than_clt_load_no_numpy(argv):
     """Nor geometry for fairness, which computes the areas itself, or for
     moments, which counts regions itself."""
-    unused = {"numpy", "scipy", "maxdiv.clt", "json", "fractions", "inspect", "dataclasses"}
+    unused = {"numpy", "scipy", "maxdiv.clt", "json", "fractions", "inspect", "dataclasses",
+              "_hashlib"}
     if argv[0] in ("fairness", "moments"):
         unused.add("maxdiv.geometry")
     code = (
@@ -706,39 +708,102 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     code = (
         "import sys, maxdiv.cli\n"
         "unused = {'numpy', 'scipy', 'json', 'fractions', 'maxdiv.clt', 'maxdiv.moments',\n"
-        "          'maxdiv.fairness', 'maxdiv.geometry', 'click', 'inspect', 'dataclasses'}\n"
+        "          'maxdiv.fairness', 'maxdiv.geometry', 'click', 'inspect', 'dataclasses',\n"
+        "          '_hashlib'}\n"
         "print(sorted(unused & set(sys.modules)))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
 
 
-def _clt_in_process(env: dict) -> list[str]:
-    """OPENBLAS_NUM_THREADS, whether numpy is loaded, and the thread
-    count, after one clt run inside a fresh interpreter."""
-    code = (
-        "import os, sys\n"
-        "from maxdiv.cli import cli\n"
-        "cli.main(['clt', '--n', '1000', '--p', '0.5', '--samples', '100', '--out', os.devnull],\n"
-        "         standalone_mode=False)\n"
+def _fresh_clt(runs: list, before: str = "", after: str = "", env: dict | None = None):
+    """Standard output and standard error, as bytes, of a fresh interpreter
+    that runs the code before, then `clt ARGS` through cli.main for each
+    ARGS in runs, then the code after.  pytest has loaded hashlib already,
+    so only a fresh interpreter shows what a clt run imports."""
+    code = "\n".join([
+        "import os, sys", before,
+        "from maxdiv.cli import cli",
+        f"for args in {runs!r}:",
+        "    assert cli.main(['clt', *args], standalone_mode=False) == 0",
+        after,
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          check=True, env=env, timeout=120)
+    return proc.stdout, proc.stderr
+
+
+def _clt_in_process(env: dict | None = None) -> list[str]:
+    """OPENBLAS_NUM_THREADS, whether numpy is loaded, the thread count,
+    whether _hashlib is loaded and whether a libcrypto is mapped, after
+    one clt run inside a fresh interpreter."""
+    stdout, _ = _fresh_clt([["--n", "1000", "--p", "0.5", "--samples", "100", "--out", os.devnull]],
+                           env=env, after=(
         "threads = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 0\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, threads)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True, env=env, timeout=60)
-    return proc.stdout.split()
+        "maps = open('/proc/self/maps').read() if os.path.exists('/proc/self/maps') else ''\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules, threads,\n"
+        "      sys.modules.get('_hashlib') is not None, 'libcrypto' in maps)"))
+    return stdout.decode().split()
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
                     reason="counts threads in /proc; one CPU starts no OpenBLAS worker")
 def test_clt_runs_in_one_thread():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    assert _clt_in_process(env) == ["1", "True", "1"]
+    assert _clt_in_process(env)[:3] == ["1", "True", "1"]
 
 
 def test_clt_keeps_the_callers_openblas_thread_count():
-    setting, numpy_loaded, _ = _clt_in_process({**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    setting, numpy_loaded, *_ = _clt_in_process({**os.environ, "OPENBLAS_NUM_THREADS": "2"})
     assert (setting, numpy_loaded) == ("2", "True")
+
+
+def test_clt_leaves_openssl_unloaded():
+    """numpy.random imports secrets, hmac and hashlib, which would load
+    OpenSSL's libcrypto through _hashlib; the keyed stream hashes nothing.
+    The maps check reads False where there is no /proc/self/maps."""
+    assert _clt_in_process()[3:] == ["False", "False"]
+
+
+_HASHLIB_LOADED = "print(sys.modules.get('_hashlib') is not None)"
+
+
+def test_clt_loads_openssl_where_a_builtin_hash_is_missing():
+    """Without _hashlib and _md5, hashlib's import would log an error and a
+    traceback for md5 on standard error, so _hashlib loads as before."""
+    runs = [["--n", "10000", "--p", "0.5", "--samples", "1000"]]
+    stdout, stderr = _fresh_clt(runs, after=_HASHLIB_LOADED)
+    assert stdout.endswith(b"\nFalse\n") and stderr == b""
+    assert _fresh_clt(runs, before="sys.modules['_md5'] = None", after=_HASHLIB_LOADED) == (
+        stdout[:-len(b"False\n")] + b"True\n", b"")
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "10000", "--p", "0.5", "--samples", "100000", "--seed", "1"],
+    ["--n", str(10**7), "--p", "0.5", "--samples", str(10**6)],
+    ["--n", str(10**5), "--p", "0.01"],
+    ["--n", str(MAX_CUTS), "--p", "0.9"],
+])
+def test_clt_prints_the_same_bytes_with_and_without_openssl(args):
+    runs = [args, [*args, "--format", "json"]]
+    stdout, stderr = _fresh_clt(runs, after=_HASHLIB_LOADED)
+    assert stdout.endswith(b"\nFalse\n") and stderr == b""
+    assert _fresh_clt(runs, before="import hashlib", after=_HASHLIB_LOADED) == (
+        stdout[:-len(b"False\n")] + b"True\n", b"")
+
+
+def test_clt_leaves_working_hashes_to_in_process_callers():
+    stdout, _ = _fresh_clt([["--n", "1000", "--p", "0.5", "--samples", "100", "--out", os.devnull]],
+                           after=(
+        "import hashlib, hmac, secrets\n"
+        "print(sys.modules.get('_hashlib'), hashlib.sha256(b'abc').hexdigest(),\n"
+        "      hmac.new(b'key', b'msg', 'sha256').hexdigest(), len(secrets.token_bytes(16)))"))
+    assert stdout.split() == [
+        b"None",
+        b"ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        b"2d93cbc1be167bcb1637a4a23cbff01a7878f0c50ee833954ea5221bb1b8c628",
+        b"16",
+    ]
 
 
 def test_oracle_three_chords():

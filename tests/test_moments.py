@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxdiv import MAX_CUTS
 from maxdiv.geometry import max_regions
 from maxdiv.moments import (
     CutModel,
@@ -230,8 +232,6 @@ def test_dimension_guards():
     with pytest.raises(UnsupportedDimensionError):
         variance_closed_form(CutModel(5, 0.5, 4))
     with pytest.raises(UnsupportedDimensionError):
-        variance_asymptotic(CutModel(5, 0.5, 1))
-    with pytest.raises(UnsupportedDimensionError):
         concentration_window(CutModel(5, 0.5, 3))
 
 
@@ -290,6 +290,50 @@ def test_asymptotic_ratio_3d():
     model = CutModel(1000, 0.5, 3)
     ratio = moments_exact(model).variance / variance_asymptotic(model)
     assert abs(ratio - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize("d", [4, 5])
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+def test_asymptotic_ratio_past_3d(n, d):
+    """The ratio to the exact variance is 1 + O(1/n): n |ratio - 1| reads
+    4.5 at d = 4 and 4.0 at d = 5.  With (d-1)! in place of its square,
+    the asymptotic variance would be 6 and 24 times too large."""
+    model = CutModel(n, 0.5, d)
+    ratio = moments_exact(model).variance / variance_asymptotic(model)
+    assert n * abs(ratio - 1.0) <= 10.0
+
+
+@pytest.mark.parametrize("n", [1, 20, 10**4, 10**7, MAX_CUTS])
+def test_asymptotic_keeps_the_bits_of_the_2d_and_3d_forms(n):
+    for p in [5e-324, 1e-300, 1e-62, 1e-20, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 2**-53, *P_GRID]:
+        assert variance_asymptotic(CutModel(n, p, 2)).hex() == (n**3 * p**3 * (1.0 - p)).hex()
+        assert variance_asymptotic(CutModel(n, p, 3)).hex() == (0.25 * n**5 * p**5 * (1.0 - p)).hex()
+
+
+def test_asymptotic_is_the_exact_variance_at_1d():
+    for n in (1, 7, 1000):
+        for p in P_GRID:
+            model = CutModel(n, p, 1)
+            assert close(variance_asymptotic(model), moments_exact(model).variance, rel=1e-14)
+
+
+@pytest.mark.parametrize("n, p, d, want", [
+    (10**72, 0.5, 3, "d = 3 is about 10^358"),
+    (10**9, 0.5, 10**9, "d = 1000000000 is about 10^266528972"),
+    (1000, 0.5, 10**9, 0.0),
+    (2, 1e-300, 200, 0.0),
+    (10**72, 1e-70, 3, 0.25e10),  # n^5 is past the float range, V is not
+])
+def test_asymptotic_decides_the_range_in_logs(n, p, d, want):
+    """Past the float range it raises, below the smallest subnormal it is
+    0.0, and no case builds n^(2d-1) or (d-1)! past the float range."""
+    start = time.perf_counter()
+    if isinstance(want, float):
+        assert close(variance_asymptotic(CutModel(n, p, d)), want, rel=1e-12)
+    else:
+        with pytest.raises(OverflowError, match=re.escape(want)):
+            variance_asymptotic(CutModel(n, p, d))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_expected_regions_monotone():
