@@ -358,7 +358,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     except ValueError as exc:  # a bad p, or a route that cannot take this model
         raise CliError(str(exc))
     except OverflowError as exc:
-        raise CliError(f"--n {n} is too large for the {method} route: {exc}")
+        raise CliError(f"at --n {n} --p {p} --dim {dim}, the {method} route overflows: {exc}")
     for name in ("mean", "variance", "second_moment"):
         value = getattr(bundle, name)
         if value is not None and not math.isfinite(value):

@@ -12,11 +12,11 @@ an absolute bound.
 The empirical side draws region-count samples from exact binomial
 inversion on a counter-based stream and measures the Kolmogorov-Smirnov
 distance between the exactly standardized samples and the standard
-normal CDF.  Inversion runs over moments._binomial_window, the window
-of O(sqrt(n)) outcomes that the exact moments route enumerates.  It is
-sized by Hoeffding's inequality so that every outcome left out has
-probability below 2^-1100, under the smallest positive float64
-(2^-1074), so the windowed CDF is the full CDF as float64 holds it.
+normal CDF.  Inversion runs over _binomial_window, a window of
+O(sqrt(n)) outcomes sized by Hoeffding's inequality so that every
+outcome left out has probability below 2^-1100, under the smallest
+positive float64 (2^-1074), so the windowed CDF is the full CDF as
+float64 holds it.
 The uniforms are multiples of 2^-53, so the sampler keeps only the
 outcomes a draw can reach (25 045 of 123 545 at n = 10^7, p = 1/2) and
 frees the window before the first draw.  They are drawn in chunks of
@@ -35,7 +35,7 @@ import math
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES, MAX_SEED
-from maxdiv.moments import CutModel, _binomial_window, expected_regions, variance_closed_form
+from maxdiv.moments import CutModel, expected_regions, variance_closed_form
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,6 +43,10 @@ if TYPE_CHECKING:
 #: Uniforms drawn and inverted at a time; bounds the sampler's working
 #: memory at about 0.4 MiB whatever the sample count.
 CHUNK_DRAWS = 1 << 14
+
+# Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
+# 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
+_WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
 
 
 class RinottTerms(NamedTuple):
@@ -143,6 +147,15 @@ def threshold_check(n: int, p: float) -> ThresholdCheck:
     _require_nondegenerate(p)
     margin = p * (1.0 - p) ** (1.0 / 3.0) * n ** (1.0 / 9.0)
     return ThresholdCheck(in_clt_regime=margin > 1.0, margin=margin)
+
+
+def _binomial_window(n: int, p: float) -> tuple[int, int]:
+    """Outcomes [lo, hi] of Bin(n, p) that can carry float64 mass: every
+    outcome outside is farther than _WINDOW_SCALE * sqrt(n) from np, so
+    its probability is below 2^-1100.  The bounds are rounded outward.
+    """
+    t = _WINDOW_SCALE * math.sqrt(n)
+    return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
 
 
 def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:

@@ -2,44 +2,30 @@
 
 With X ~ Bin(n, p) successful cuts in general position, the region
 count is R = sum_{i<=d} C(X, i).  Everything here is a route to E(R)
-and V(R): exact polynomial forms (derived through factorial moments of
-the binomial), enumeration of the window of outcomes with float64 mass
-(clt samples it too), the large-n asymptotics, and the Chebyshev tail.
+and V(R): exact polynomial forms for d = 2 and 3, the binomial factorial
+moments E C(X, k) = C(n, k) p^k summed in integers for any n and d, the
+large-n asymptotics, and the Chebyshev tail.
 
-The closed forms and the enumeration are deliberately independent code
-paths; the test suite holds them against each other and against an
-exact rational-arithmetic evaluation.
+The closed forms and the factorial-moment sums are deliberately
+independent code paths; the test suite holds them against each other
+and against an exact rational-arithmetic evaluation over the binomial
+pmf.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate
-from operator import mul
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-#: Largest n the enumeration route accepts.  Its window then holds at
-#: most 123 545 outcomes, and `moments --n 10000000 --p 0.5 --dim 2
-#: --method exact` takes 0.21-0.33 s wall on a 2-vCPU Xeon VM.
-ENUMERATION_BOUND = 10**7
-
-# Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
-# 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
-_WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class UnsupportedDimensionError(ValueError):
     """No closed form is implemented for this dimension."""
-
-
-class EnumerationBoundError(ValueError):
-    """n exceeds the enumeration limit, or a region count the float range."""
 
 
 class CutModel(NamedTuple("CutModel", [("n", int), ("p", float), ("d", int)])):
@@ -62,7 +48,7 @@ class RegionMoments(NamedTuple):
 
     second_moment is None when the route does not define one (the
     asymptotic route only approximates the variance).  method is one of
-    "exact_enumeration", "closed_form", "asymptotic".
+    "exact", "closed_form", "asymptotic".
     """
 
     mean: float
@@ -75,11 +61,30 @@ def expected_regions(model: CutModel) -> float:
     """E(R) = 1 + sum_{i=1}^{d} C(n, i) p^i, exactly, for any dimension.
 
     Each i-way intersection of cuts survives with probability p^i and
-    contributes one region; the leading 1 is the uncut volume.  Terms
-    past i = n are zero, so the sum stops at min(n, d).
+    contributes one region; the leading 1 is the uncut volume.  The sum
+    stops at min(n, d), or at a term of 0.0 past which the terms fall, so
+    a huge d costs no time.  A term whose C(n, i) is past the float range
+    is exp of its logarithm; only a term or sum past it raises OverflowError.
     """
-    n, p, d = model.n, model.p, model.d
-    return 1.0 + math.fsum(math.comb(n, i) * p**i for i in range(1, min(n, d) + 1))
+    n, p, d = model
+    if p == 0.0:  # X = 0 for certain
+        return 1.0
+    u, v = p.as_integer_ratio()
+    terms = []
+    c = 1  # C(n, i)
+    for i in range(1, min(n, d) + 1):
+        c = c * (n - i + 1) // i
+        try:
+            term = c * p**i
+        except OverflowError:
+            log_term = math.log(c) + i * math.log(p)
+            if log_term > _LOG_FLOAT_MAX:
+                raise OverflowError(f"the mean at d = {d} passes the float range") from None
+            term = math.exp(log_term)
+        if term == 0.0 and (n - i) * u < (i + 1) * v:
+            break
+        terms.append(term)
+    return 1.0 + math.fsum(terms)
 
 
 def second_moment_2d(model: CutModel) -> float:
@@ -159,76 +164,15 @@ def variance_asymptotic(model: CutModel) -> float:
     return math.exp(log_v)
 
 
-def _binomial_window(n: int, p: float) -> tuple[int, int]:
-    """Outcomes [lo, hi] of Bin(n, p) that can carry float64 mass.
-
-    Every outcome outside is farther than t = _WINDOW_SCALE * sqrt(n)
-    from the mean np, so by Hoeffding's inequality its probability is
-    below 2^-1100, which rounds to 0.0 in float64.  The bounds are
-    rounded outward.
-    """
-    t = _WINDOW_SCALE * math.sqrt(n)
-    return max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
-
-
-def _fsum(terms: Iterable[float]) -> float:
-    """math.fsum of nonnegative terms, largest first: it rounds correctly
-    in any order, but the tiny terms of a window's tails slow it down
-    several times.  A sum past the float range is inf; fsum raises there.
-    """
-    try:
-        return math.fsum(sorted(terms, reverse=True))
-    except OverflowError:
-        return math.inf
-
-
-def _binomial_weights(n: int, p: float, lo: int, hi: int) -> list[float]:
-    """Probabilities of the outcomes lo..hi of Bin(n, p), for 0 < p < 1.
-
-    The weights start at 1 at the mode and multiply outward by the ratio
-    f(x+1) / f(x) = (n - x) / (x + 1) * odds, odds = p / q, or divide by
-    it going down, a few rounding units a step; their fsum normalises
-    them.  Both directions use the one rounded odds, so the weights are
-    those of Bin(n, p') with p' within two rounding units of p.  A
-    separately rounded q / p going down would bend them at the mode:
-    V(R) was then 8e-14 off at n = 10^7, p = 0.3.
-    """
-    odds = p / (1.0 - p)
-    mode = min(max(math.floor((n + 1) * p), lo), hi)
-    down = ((x + 1) / (n - x) / odds for x in range(mode - 1, lo - 1, -1))
-    up = ((n - x) / (x + 1) * odds for x in range(mode, hi))
-    weights = [*accumulate(down, mul, initial=1.0)][::-1] + [*accumulate(up, mul)]
-    total = _fsum(weights)
-    return [w / total for w in weights]
-
-
-def _region_counts(lo: int, hi: int, d: int) -> list[int]:
-    """[geometry.max_regions(x, d) for x in lo..hi] in exact integer steps.
-
-    S(lo, d) = sum_{i<=d} C(lo, i) is summed directly.  Above it,
-    Pascal's rule gives S(x+1, d) = 2 S(x, d) - C(x, d), and C(x+1, d)
-    follows from C(x, d) by one multiply and one exact divide.
-    """
-    total = sum(math.comb(lo, i) for i in range(min(lo, d) + 1))
-    top = math.comb(lo, d)  # C(x, d), here at x = lo
-    counts = [total]
-    for x in range(lo + 1, hi + 1):
-        total = 2 * total - top
-        counts.append(total)
-        if x == d:
-            top = 1
-        elif x > d:
-            top = top * x // (x - d)
-    return counts
-
-
 def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fraction, Fraction]:
-    """(E(R), E(R^2), V(R)) in exact rational arithmetic.
+    """(E(R), E(R^2), V(R)) in exact rational arithmetic, over the pmf.
 
     Slow but indisputable; meant for holding the floating-point routes
     to account at small n.
     """
     from fractions import Fraction
+
+    from maxdiv.geometry import max_regions
 
     if not isinstance(p, Fraction):
         raise TypeError("p must be a Fraction for the rational route")
@@ -237,7 +181,8 @@ def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fract
     # weight x is C(n, x) a^x (b - a)^(n - x) / b^n: integer sums, one division
     a, b = p.numerator, p.denominator
     mean = second = 0
-    for x, r in enumerate(_region_counts(0, n, d)):
+    for x in range(n + 1):
+        r = max_regions(x, d)
         weight = math.comb(n, x) * a**x * (b - a) ** (n - x)
         mean += weight * r
         second += weight * r * r
@@ -245,45 +190,82 @@ def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fract
     return mean, second, second - mean * mean
 
 
-def moments_exact(model: CutModel) -> RegionMoments:
-    """Moments by enumerating _binomial_window, or the one outcome of X
-    when p is 0 or 1, packaged with their route tag.
+def _over(numerator: int, denominator: int) -> float:
+    """numerator / denominator, correctly rounded, or inf past the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf
 
-    n above ENUMERATION_BOUND is refused, and so are counts past the
-    float range: by an lgamma lower bound before any count is built, or
-    by the largest count.  The variance sums the centred counts, not
-    E(R^2) - E(R)^2, which cancels when V(R) is small next to E(R)^2 (p
-    near 0 or 1).  Every sum has nonnegative terms, so each moment is off
-    by at most a few window-size rounding units.
+
+def moments_exact(model: CutModel) -> RegionMoments:
+    """Moments from the factorial moments E C(X, k) = C(n, k) p^k, for any n.
+
+    E(R) = sum_{k<=d} C(n, k) p^k and E(R^2) = sum_{k<=2d} N_k C(n, k) p^k,
+    with N_k the pairs (A, B) of subsets of a k-set that cover it with
+    |A|, |B| <= d: 3^k up to k = d, then N_{k+1} = 3 N_k - C(k, d)
+    (4 S(d, 2d - k) - C(d, 2d - k)), S(d, s) = sum_{j<=s} C(d, j), as an
+    added element joins A, B or both, which only a side of d refuses.
+    With p = u / v the sums and V(R) = E(R^2) - E(R)^2 are integers over
+    one power of v, each rounded once, correctly; V(R) is 0.0 at p = 1.
+
+    The sum stops once the rest, below 3^k C(n, k) p^k when the ratio
+    3 (n - k) p / (k + 1) of that bound is under 1/2, is below 2^-1100 of
+    E(R).  A mean past the float range raises OverflowError, decided in
+    logs from its largest term before any big integer is built; a second
+    moment or variance past it is inf, and its sum is skipped where a
+    lower bound of V(R) in logs is past it already.
     """
     n, p, d = model
-    if n > ENUMERATION_BOUND:
-        raise EnumerationBoundError(f"enumeration supports n <= {ENUMERATION_BOUND}, got n = {n}")
-    if 0.0 < p < 1.0:
-        lo, hi = _binomial_window(n, p)
-    else:  # X is n or 0 for certain
-        lo = hi = n if p == 1.0 else 0
-    too_large = EnumerationBoundError(f"region count R({hi}, {d}) at n = {n} passes the float range")
-    k = min(d, hi // 2)  # C(hi, k), the largest term of R(hi, d), bounds it below
-    if math.lgamma(hi + 1) - math.lgamma(k + 1) - math.lgamma(hi - k + 1) > 1024 * math.log(2):
-        raise too_large  # before a huge integer is built
-    counts = _region_counts(lo, hi, d)
-    if counts[-1] > sys.float_info.max:  # past the lower bound above, within a few bits
-        raise too_large
-    weights = _binomial_weights(n, p, lo, hi) if lo < hi else [1.0]
-    mean = _fsum(w * r for w, r in zip(weights, counts))
-    second = _fsum(w * r * r for w, r in zip(weights, counts))
-    centre = int(mean)  # r - mean would round a count past 2^53; r - centre is exact
-    deviations = (r - centre - (mean - centre) for r in counts)
-    # weight first: a squared deviation alone may pass the float range.  One
-    # outcome is exact: a count past 2^53 is not its own float mean.
-    variance = _fsum(w * e * e for w, e in zip(weights, deviations)) if lo < hi else 0.0
-    return RegionMoments(
-        mean=mean,
-        variance=variance,
-        second_moment=second,
-        method="exact_enumeration",
-    )
+    if p == 0.0:  # X = 0 for certain
+        return RegionMoments(mean=1.0, variance=0.0, second_moment=1.0, method="exact")
+    u, v = p.as_integer_ratio()
+    k = min(d, (n + 1) * u // (u + v))  # the largest mean term, unless d is smaller
+    past_range = False
+    if k:
+        # C(n, k) >= (n - k + 1)^k / k! and k! <= e k^(k + 1/2) e^-k
+        log_term = k * (math.log(n - k + 1) - math.log(k) + math.log(p) + 1) - math.log(k) / 2 - 1
+        if log_term > _LOG_FLOAT_MAX:
+            raise OverflowError(
+                f"the mean at d = {d} is above 10^{log_term / math.log(10):.0f}, past the float range"
+            )
+        # V(R) >= Cov(R, X)^2 / V(X) = (1 - p) (sum_{i<=d} i C(n, i) p^i)^2 / (n p)
+        past_range = p < 1.0 and (math.log1p(-p) + 2 * (math.log(k) + log_term)
+                                  - math.log(n) - math.log(p) > _LOG_FLOAT_MAX)
+    f, top = (1, min(n, d)) if past_range else (3, min(n, 2 * d))
+    shift = v.bit_length() - 1  # v = 2^shift
+    c = count = term = 1  # C(n, k) u^k, N_k and N_k C(n, k) u^k
+    mean = second = 0  # over v^k
+    for k in range(top + 1):
+        mean = (mean << shift) + (c if k <= d else 0)
+        second = (second << shift) + term
+        # the ratio is below 1/2, and f^k c < 2^-1100 mean by their bits
+        if k == top or (2 * f * (n - k) * u < (k + 1) * v
+                        and (f**k).bit_length() + c.bit_length() + 1100 < mean.bit_length()):
+            break
+        step = (n - k) * u
+        c = c * step // (k + 1)
+        if past_range:
+            continue
+        if k < d:  # N_{k+1} = 3 N_k
+            count, term = 3 * count, term * (3 * step) // (k + 1)
+            continue
+        # N_{k+1} from C(k, d), C(d, s) and S(d, s) at s = 2d - k
+        if k == d:
+            binom, row, head = 1, 1, 1 << d
+        else:
+            binom, row, head = binom * k // (k - d), row * (2 * d - k + 1) // (k - d), head - row
+        count = 3 * count - binom * (4 * head - row)
+        term = count * c
+    scale = 1 << shift * k
+    if past_range:
+        second = variance = math.inf
+    else:
+        second, variance = _over(second, scale), _over(second * scale - mean * mean, scale * scale)
+    mean = _over(mean, scale)
+    if mean == math.inf:
+        raise OverflowError(f"the mean at d = {d} passes the float range")
+    return RegionMoments(mean=mean, variance=variance, second_moment=second, method="exact")
 
 
 def moments_closed_form(model: CutModel) -> RegionMoments:
@@ -310,7 +292,7 @@ def moments_asymptotic(model: CutModel) -> RegionMoments:
 
 
 def chebyshev_tail(model: CutModel, lam: float) -> float:
-    """Chebyshev bound on P(|R - E(R)| >= lam), capped at 1, from the enumerated variance."""
+    """Chebyshev bound on P(|R - E(R)| >= lam), capped at 1, from the exact route's variance."""
     if not lam > 0.0:
         raise ValueError(f"deviation must be positive, got {lam!r}")
     return min(1.0, moments_exact(model).variance / (lam * lam))

@@ -114,7 +114,7 @@ def test_criterion_06_moment_oracle():
                 if d == 2:
                     ok = ok and _close(second_moment_2d(model), reference.second_moment)
     elapsed = time.perf_counter() - start
-    _verdict(6, f"polynomials match enumeration for n <= 30 ({elapsed:.2f}s)", ok and elapsed < 5.0)
+    _verdict(6, f"polynomials match the exact route for n <= 30 ({elapsed:.2f}s)", ok and elapsed < 5.0)
 
 
 def test_criterion_07_asymptotics():

@@ -430,7 +430,7 @@ def test_moments_exact_anchor():
     assert fields["mean"] == "2.2500000000"
     assert fields["variance"] == "1.1875000000"
     assert fields["second_moment"] == "6.2500000000"
-    assert fields["method"] == "exact_enumeration"
+    assert fields["method"] == "exact"
 
 
 def test_moments_exact_huge_region_counts():
@@ -626,12 +626,17 @@ def test_moments_rejects_nan_p():
     assert "nan" in res.stderr
 
 
-@pytest.mark.parametrize("method, dim, n", [("closed", "2", 10**93), ("asymptotic", "3", 10**72)])
+@pytest.mark.parametrize("method, dim, n", [
+    ("closed", "2", 10**93),
+    ("asymptotic", "3", 10**72),
+    ("exact", "1000000", 2000),  # E(R) = 1.5^2000: d overflows it, not n
+])
 def test_moments_reports_overflowing_n(method, dim, n):
     res = invoke("moments", "--n", str(n), "--p", "0.5", "--dim", dim, "--method", method)
     assert _single_error_line(res)
-    assert "too large" in res.stderr
+    assert f"Error: at --n {n} --p 0.5 --dim {dim}, the {method} route overflows: " in res.stderr
     assert method != "asymptotic" or f"d = {dim} is about" in res.stderr
+    assert method != "exact" or "the mean at d = 1000000 passes the float range" in res.stderr
 
 
 @pytest.mark.parametrize("argv, outcome", [
@@ -639,10 +644,15 @@ def test_moments_reports_overflowing_n(method, dim, n):
     (["--n", "10", "--p", "0.5", "--dim", "100000000", "--method", "closed"], "Error: variance polynomial"),
     (["--n", "10", "--p", "0.5", "--dim", "1000000000"], "n,p,dim,"),
     (["--n", "10", "--p", "1", "--dim", "1000000000"], "n,p,dim,"),
-    (["--n", "10000000", "--p", "0.5", "--dim", "10000000"], "Error: region count"),
-    (["--n", "10000000", "--p", "1", "--dim", "10000000"], "Error: region count"),
-    (["--n", "1028", "--p", "0.5", "--dim", "600"], "Error: region count"),
+    (["--n", "10000000", "--p", "0.5", "--dim", "10000000"],
+     "Error: at --n 10000000 --p 0.5 --dim 10000000, the exact route overflows: the mean"),
+    (["--n", "10000000", "--p", "1", "--dim", "10000000"],
+     "Error: at --n 10000000 --p 1.0 --dim 10000000, the exact route overflows: the mean"),
+    (["--n", "1028", "--p", "0.5", "--dim", "600"], "Error: the exact route's variance is inf"),
     (["--n", "1000", "--p", "0.5", "--dim", "180"], "Error: the exact route's variance is inf"),
+    (["--n", str(10**400), "--p", "0.5", "--dim", "3"], f"Error: at --n {10**400} --p 0.5 --dim 3,"),
+    (["--n", str(10**52), "--p", "5e-324", "--dim", "1000000000"], "n,p,dim,"),
+    (["--n", "2000", "--p", "0.5", "--dim", "1000000"], "Error: at --n 2000 --p 0.5 --dim 1000000,"),
 ])
 def test_moments_huge_dim_ends_within_a_second(argv, outcome):
     start = time.perf_counter()
@@ -652,6 +662,8 @@ def test_moments_huge_dim_ends_within_a_second(argv, outcome):
     assert time.perf_counter() - start < 1.0
     assert (proc.stdout + proc.stderr).startswith(outcome)
     assert "Traceback" not in proc.stderr
+    # an n past the float range is never converted to one
+    assert "convert to float" not in proc.stderr
 
 
 @pytest.mark.parametrize("method, argv", [
@@ -686,7 +698,7 @@ def test_every_moments_route_refuses_non_finite_values(monkeypatch, route, field
 ])
 def test_subcommands_other_than_clt_load_no_numpy(argv):
     """Nor geometry for fairness, which computes the areas itself, or for
-    moments, which counts regions itself."""
+    moments, whose routes need no region count."""
     unused = {"numpy", "scipy", "maxdiv.clt", "json", "fractions", "inspect", "dataclasses",
               "_hashlib"}
     if argv[0] in ("fairness", "moments"):

@@ -122,6 +122,9 @@ EDGE_CASES = [
     ["moments", "--n", str(10**7), "--p", "0.5", "--dim", str(10**7)],
     ["moments", "--n", str(10**7), "--p", "1", "--dim", str(10**7)],
     ["moments", "--n", "10", "--p", "0.5", "--dim", str(10**9), "--method", "closed"],
+    ["moments", "--n", str(10**400), "--p", "0.5", "--dim", "3", "--method", "exact"],
+    ["moments", "--n", str(10**52), "--p", "5e-324", "--dim", str(10**9), "--method", "exact"],
+    ["moments", "--n", "2000", "--p", "0.5", "--dim", str(10**6), "--method", "exact"],
     ["moments", "--n", "10", "--p", "nan"],
     ["clt", "--n", "100", "--p", "nan", "--samples", "10"],
     ["clt", "--n", "100", "--p", "inf", "--samples", "10"],

@@ -16,6 +16,7 @@ from maxdiv.clt import (
     NormalitySample,
     RinottTerms,
     _binomial_cdf,
+    _binomial_window,
     _inverter,
     rinott_terms,
     sample_normality,
@@ -23,7 +24,6 @@ from maxdiv.clt import (
 )
 from maxdiv.moments import (
     CutModel,
-    _binomial_window,
     expected_regions,
     variance_closed_form,
 )

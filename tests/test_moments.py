@@ -11,8 +11,6 @@ from maxdiv import MAX_CUTS
 from maxdiv.geometry import max_regions
 from maxdiv.moments import (
     CutModel,
-    _region_counts,
-    EnumerationBoundError,
     UnsupportedDimensionError,
     chebyshev_tail,
     concentration_window,
@@ -41,20 +39,53 @@ def test_region_count_known_values():
     assert max_regions(2, 2) == 4
 
 
-def test_region_column_matches_max_regions():
-    for n in range(0, 40):
-        for d in range(1, 45):
-            for lo in (0, n // 3, n // 2, n):
-                want = [max_regions(x, d) for x in range(lo, n + 1)]
-                assert _region_counts(lo, n, d) == want, (lo, n, d)
-    assert _region_counts(0, 1000, 3) == [max_regions(x, 3) for x in range(1001)]
-    assert _region_counts(0, 1000, 10**9) == [2**x for x in range(1001)]
-    assert _region_counts(900, 1000, 3) == [max_regions(x, 3) for x in range(900, 1001)]
-
-
 def test_expected_regions_ignores_dimensions_beyond_n():
     for p in (0.0, 0.3, 1.0):
         assert expected_regions(CutModel(12, p, 10**4)) == expected_regions(CutModel(12, p, 12))
+
+
+def _expected_regions_by_floats(n: int, p: float, d: int) -> float:
+    """E(R) as expected_regions summed it while every C(n, i) had to be a float."""
+    return 1.0 + math.fsum(math.comb(n, i) * p**i for i in range(1, min(n, d) + 1))
+
+
+def test_expected_regions_keeps_its_bits_where_every_binomial_is_a_float():
+    """clt's mean and the moments reference depend on these bits."""
+    checked = 0
+    for n in (1, 2, 5, 20, 1000, 10**4, 10**7, MAX_CUTS, 10**12, 10**52):
+        for d in (1, 2, 3, 5, 10, 200):
+            for p in [5e-324, 1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.3, 0.9, 1 - 2**-53, *P_GRID]:
+                try:
+                    want = _expected_regions_by_floats(n, p, d)
+                except OverflowError:
+                    continue
+                assert expected_regions(CutModel(n, p, d)).hex() == want.hex(), (n, p, d)
+                checked += 1
+    assert checked > 700
+
+
+@pytest.mark.parametrize("n, p, d, want", [
+    (10**52, 5e-324, 7, 1.0),
+    (10**52, 5e-324, 10**9, 1.0),
+    (10**300, 1e-300, 10, sum(1 / math.factorial(i) for i in range(11))),
+    (10**300, 1e-300, 10**9, math.e),
+    (10**400, 0.0, 3, 1.0),
+])
+def test_expected_regions_takes_a_huge_binomial_from_its_logarithm(n, p, d, want):
+    """C(n, i) is past the float range here, but its term and E(R) are not."""
+    with pytest.raises(OverflowError):
+        _expected_regions_by_floats(n, p, min(d, 10))
+    start = time.perf_counter()
+    assert close(expected_regions(CutModel(n, p, d)), want, rel=1e-12)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n, p, d", [(10**52, 0.5, 10**9), (10**7, 0.5, 10**7), (2000, 0.5, 10**6)])
+def test_expected_regions_raises_only_past_the_float_range(n, p, d):
+    start = time.perf_counter()
+    with pytest.raises(OverflowError, match="passes the float range"):
+        expected_regions(CutModel(n, p, d))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_region_count_rejects_bad_input():
@@ -141,12 +172,12 @@ def _variance_2d_rational(n: int, p: Fraction) -> Fraction:
 
 
 def test_enumerated_variance_accurate_near_one():
-    """V(R) is about 2e-7 of E(R)^2 here: E(R^2) - E(R)^2 misses the
-    rational value by 1.35e-6 relative, the centred pass by about 1e-12."""
+    """V(R) is about 2e-7 of E(R)^2 here: E(R^2) - E(R)^2 in floats
+    misses the rational value by 1.35e-6 relative; in integers it is
+    the rational value, rounded once."""
     n, p = 2000, 0.9999
     want = _variance_2d_rational(n, Fraction(p))
-    got = moments_exact(CutModel(n, p, 2)).variance
-    assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * want
+    assert moments_exact(CutModel(n, p, 2)).variance == float(want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -160,11 +191,11 @@ def test_enumerated_variance_accurate_near_one():
     ),
 )
 def test_enumeration_matches_rational_route(n, d, p):
+    """Where the k-sum is cut, the sums fall short by less than 2^-1100
+    of E(R), which does not move a rounding at these sizes."""
     bundle = moments_exact(CutModel(n, p, d))
     exact = exact_moments_rational(n, Fraction(p), d)
-    got = (bundle.mean, bundle.second_moment, bundle.variance)
-    for value, want in zip(got, exact):
-        assert abs(Fraction(value) - want) <= Fraction(1, 10**11) * want
+    assert (bundle.mean, bundle.second_moment, bundle.variance) == tuple(map(float, exact))
     if d in (2, 3):
         # every term of the factored polynomial is nonnegative, so a
         # few rounding units bound its error even at p near 0 or 1
@@ -176,25 +207,49 @@ def test_enumeration_matches_rational_route(n, d, p):
 @pytest.mark.parametrize("p", [1e-9, 0.3, 0.5, 1 - 1e-9])
 @pytest.mark.parametrize("d", [2, 5])
 def test_enumeration_within_1e_14_of_rational_route(n, p, d):
-    """Weights from lgamma, as enumerated before, were up to 1.9e-13 off here."""
+    """Weights from lgamma, as enumerated before, were up to 1.9e-13 off
+    here; the integer sums round each moment once."""
     bundle = moments_exact(CutModel(n, p, d))
     exact = exact_moments_rational(n, Fraction(p), d)
-    for value, want in zip((bundle.mean, bundle.second_moment, bundle.variance), exact):
-        assert abs(Fraction(value) - want) <= Fraction(1, 10**14) * want
+    assert (bundle.mean, bundle.second_moment, bundle.variance) == tuple(map(float, exact))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 19, 40, 300])
+def test_exact_route_is_the_rational_route_rounded(n):
+    """Every moment is float() of the exact rational value, at p from the
+    smallest subnormal to the float just below 1, and at d below, near
+    and above n, where N_k leaves 3^k."""
+    for d in (1, 2, 3, 4, 6, 11, 20):
+        for p in (5e-324, 1e-300, 1e-9, 0.3, 0.5, 0.9, 1 - 2**-53):
+            bundle = moments_exact(CutModel(n, p, d))
+            exact = exact_moments_rational(n, Fraction(p), d)
+            got = (bundle.mean, bundle.second_moment, bundle.variance)
+            assert got == tuple(map(float, exact)), (n, d, p)
 
 
 @pytest.mark.parametrize("n", [10**6, 10**7])
 @pytest.mark.parametrize("d", [2, 3])
 def test_enumeration_within_1e_14_of_closed_form_at_large_n(n, d):
-    """Stepping down by a separately rounded q / p put V(R) 8e-14 off at
-    n = 10^7, p = 0.3, and centring on the float mean up to 8e-12 off at
-    p = 1 - 1e-6, d = 3."""
+    """Window weights stepped down by a separately rounded q / p put V(R)
+    8e-14 off at n = 10^7, p = 0.3, and centring on the float mean up to
+    8e-12 off at p = 1 - 1e-6, d = 3."""
     for p in (1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6):
         model = CutModel(n, p, d)
         bundle = moments_exact(model)
         for got, want in ((bundle.mean, expected_regions(model)),
                           (bundle.variance, variance_closed_form(model))):
             assert abs(got - want) <= 1e-14 * want, (p, got, want)
+
+
+@pytest.mark.parametrize("n", [10**7, MAX_CUTS])
+@pytest.mark.parametrize("d", [2, 3])
+def test_exact_route_within_1e_15_of_closed_forms(n, d):
+    for p in (1e-300, 1e-9, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.9, 1 - 1e-6, 1 - 2**-53):
+        model = CutModel(n, p, d)
+        bundle = moments_exact(model)
+        for got, want in ((bundle.mean, expected_regions(model)),
+                          (bundle.variance, variance_closed_form(model))):
+            assert abs(got - want) <= 1e-15 * want, (p, got, want)
 
 
 def test_closed_form_variance_keeps_its_digits_next_to_one():
@@ -235,25 +290,28 @@ def test_dimension_guards():
         concentration_window(CutModel(5, 0.5, 3))
 
 
-def test_enumeration_bound_enforced():
-    with pytest.raises(EnumerationBoundError, match="n <= 10000000"):
-        moments_exact(CutModel(10**7 + 1, 0.5, 2))
-    with pytest.raises(EnumerationBoundError, match="n <= 10000000"):
-        chebyshev_tail(CutModel(10**7 + 1, 0.5, 2), 1.0)
-    # the old cap of n <= 1000 is gone
-    assert moments_exact(CutModel(1001, 0.5, 2)).variance > 0.0
+def test_exact_route_answers_past_ten_million():
+    """The enumeration refused n > 10^7; the factorial moments take any n."""
+    for n in (10**7 + 1, 10**12):
+        for p in (1e-9, 0.3, 0.5, 1 - 1e-9):
+            for d in (2, 3):
+                model = CutModel(n, p, d)
+                bundle = moments_exact(model)
+                assert abs(bundle.mean - expected_regions(model)) <= 1e-15 * bundle.mean
+                want = variance_closed_form(model)
+                assert abs(bundle.variance - want) <= 1e-15 * want, (n, p, d)
+                assert chebyshev_tail(model, 1.0) == min(1.0, bundle.variance)
 
 
-@pytest.mark.parametrize("n, p, d", [(10**7, 0.5, 10**7), (10**7, 1.0, 10**7), (1028, 0.5, 600)])
+@pytest.mark.parametrize("n, p, d", [(10**7, 0.5, 10**7), (10**7, 1.0, 10**7), (10**400, 0.5, 3)])
 def test_enumeration_refuses_counts_past_float_range(n, p, d):
-    """R(hi, 10^7) has millions of bits; building the counts would take
-    minutes, the refusal takes no time.  C(1028, 514) < 2^1023 passes the
-    lgamma bound, but R(1028, 600) > 2^1027 is refused once built."""
+    """E(R) has millions of digits at the first two, and about 1200 at
+    the last; its largest term decides that in logs, in no time."""
     for route in (moments_exact, lambda m: chebyshev_tail(m, 1.0)):
         start = time.perf_counter()
-        with pytest.raises(EnumerationBoundError, match="passes the float range"):
+        with pytest.raises(OverflowError, match="past the float range"):
             route(CutModel(n, p, d))
-        assert time.perf_counter() - start < 0.5
+        assert time.perf_counter() - start < 0.1
 
 
 def test_enumeration_keeps_counts_within_float_range():
@@ -263,12 +321,38 @@ def test_enumeration_keeps_counts_within_float_range():
     bundle = moments_exact(CutModel(1000, 0.5, 10**5))
     assert bundle.mean == pytest.approx(1.5**1000, rel=1e-12)
     assert bundle.variance == math.inf
+    # R(1028, 600) > 2^1027 at X = 1028, but E(R) < 1.5^1028 is a float
+    bundle = moments_exact(CutModel(1028, 0.5, 600))
+    assert bundle.mean == float(sum(Fraction(math.comb(1028, k), 2**k) for k in range(601)))
+    assert bundle.second_moment == bundle.variance == math.inf
+
+
+def test_exact_route_cuts_the_tail_of_a_huge_dimension():
+    """p = 2^-1074 makes every term past k = 1 negligible, so the sum
+    stops at k = 2 of 2 * 10^9."""
+    start = time.perf_counter()
+    bundle = moments_exact(CutModel(10**52, 5e-324, 10**9))
+    assert time.perf_counter() - start < 0.1
+    assert bundle.mean == bundle.second_moment == 1.0
+    assert bundle.variance == float(Fraction(10**52) * Fraction(5e-324) * (1 - Fraction(5e-324)))
+
+
+def test_exact_route_keeps_within_a_second_up_to_n_2000():
+    """The slowest cases of n <= 2000, d <= n found take about 0.2 s: at
+    p = 0.1 every E(R^2) term up to k = 1450 is kept."""
+    for d in (600, 900, 1500, 2000):
+        for p in (0.1, 0.5, 0.9):
+            start = time.perf_counter()
+            try:
+                moments_exact(CutModel(2000, p, d))
+            except OverflowError:
+                pass
+            assert time.perf_counter() - start < 1.0, (d, p)
 
 
 def test_moment_sums_past_float_range_are_inf():
-    """R(1000, 180) < 2^676 is a float, but the second moment's terms pass
-    the float range, and math.fsum raises OverflowError on such a sum.
-    The sum is inf instead, so is the variance, and the Chebyshev bound
+    """R(1000, 180) < 2^676 is a float, but the second moment and the
+    variance pass the float range: they are inf, and the Chebyshev bound
     is 1."""
     model = CutModel(1000, 0.5, 180)
     bundle = moments_exact(model)
@@ -293,7 +377,7 @@ def test_asymptotic_ratio_3d():
 
 
 @pytest.mark.parametrize("d", [4, 5])
-@pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+@pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 10**8, 10**9])
 def test_asymptotic_ratio_past_3d(n, d):
     """The ratio to the exact variance is 1 + O(1/n): n |ratio - 1| reads
     4.5 at d = 4 and 4.0 at d = 5.  With (d-1)! in place of its square,
@@ -397,7 +481,7 @@ def test_moment_bundles_agree():
     model = CutModel(20, 0.3, 3)
     exact = moments_exact(model)
     closed = moments_closed_form(model)
-    assert exact.method == "exact_enumeration"
+    assert exact.method == "exact"
     assert closed.method == "closed_form"
     assert close(exact.mean, closed.mean)
     assert close(exact.variance, closed.variance)
