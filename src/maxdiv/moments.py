@@ -6,10 +6,10 @@ and V(R): exact polynomial forms for d = 2 and 3, the binomial factorial
 moments E C(X, k) = C(n, k) p^k summed in integers for any n and d, the
 large-n asymptotics, and the Chebyshev tail.
 
-The closed forms and the factorial-moment sums are deliberately
-independent code paths; the test suite holds them against each other
-and against an exact rational-arithmetic evaluation over the binomial
-pmf.
+E(R) is one sum, which every route shares.  The closed-form and the
+factorial-moment variances are deliberately independent code paths; the
+tests hold them against each other, and every moment against
+exact_moments_rational, a rational evaluation over the binomial pmf.
 """
 
 from __future__ import annotations
@@ -58,33 +58,13 @@ class RegionMoments(NamedTuple):
 
 
 def expected_regions(model: CutModel) -> float:
-    """E(R) = 1 + sum_{i=1}^{d} C(n, i) p^i, exactly, for any dimension.
+    """E(R) = sum_{i=0}^{d} C(n, i) p^i, correctly rounded, for any dimension.
 
     Each i-way intersection of cuts survives with probability p^i and
-    contributes one region; the leading 1 is the uncut volume.  The sum
-    stops at min(n, d), or at a term of 0.0 past which the terms fall, so
-    a huge d costs no time.  A term whose C(n, i) is past the float range
-    is exp of its logarithm; only a term or sum past it raises OverflowError.
+    contributes one region; i = 0 is the uncut volume.  This is the mean
+    of moments_exact summed alone, with its stop rule and OverflowError.
     """
-    n, p, d = model
-    if p == 0.0:  # X = 0 for certain
-        return 1.0
-    u, v = p.as_integer_ratio()
-    terms = []
-    c = 1  # C(n, i)
-    for i in range(1, min(n, d) + 1):
-        c = c * (n - i + 1) // i
-        try:
-            term = c * p**i
-        except OverflowError:
-            log_term = math.log(c) + i * math.log(p)
-            if log_term > _LOG_FLOAT_MAX:
-                raise OverflowError(f"the mean at d = {d} passes the float range") from None
-            term = math.exp(log_term)
-        if term == 0.0 and (n - i) * u < (i + 1) * v:
-            break
-        terms.append(term)
-    return 1.0 + math.fsum(terms)
+    return _factorial_moments(model, mean_only=True).mean
 
 
 def second_moment_2d(model: CutModel) -> float:
@@ -216,12 +196,16 @@ def moments_exact(model: CutModel) -> RegionMoments:
     moment or variance past it is inf, and its sum is skipped where a
     lower bound of V(R) in logs is past it already.
     """
+    return _factorial_moments(model, mean_only=False)
+
+
+def _factorial_moments(model: CutModel, mean_only: bool) -> RegionMoments:
+    """moments_exact's moments; with mean_only, the mean alone and inf for the rest."""
     n, p, d = model
     if p == 0.0:  # X = 0 for certain
         return RegionMoments(mean=1.0, variance=0.0, second_moment=1.0, method="exact")
     u, v = p.as_integer_ratio()
     k = min(d, (n + 1) * u // (u + v))  # the largest mean term, unless d is smaller
-    past_range = False
     if k:
         # C(n, k) >= (n - k + 1)^k / k! and k! <= e k^(k + 1/2) e^-k
         log_term = k * (math.log(n - k + 1) - math.log(k) + math.log(p) + 1) - math.log(k) / 2 - 1
@@ -230,22 +214,23 @@ def moments_exact(model: CutModel) -> RegionMoments:
                 f"the mean at d = {d} is above 10^{log_term / math.log(10):.0f}, past the float range"
             )
         # V(R) >= Cov(R, X)^2 / V(X) = (1 - p) (sum_{i<=d} i C(n, i) p^i)^2 / (n p)
-        past_range = p < 1.0 and (math.log1p(-p) + 2 * (math.log(k) + log_term)
-                                  - math.log(n) - math.log(p) > _LOG_FLOAT_MAX)
-    f, top = (1, min(n, d)) if past_range else (3, min(n, 2 * d))
+        mean_only = mean_only or (p < 1.0 and (math.log1p(-p) + 2 * (math.log(k) + log_term)
+                                               - math.log(n) - math.log(p) > _LOG_FLOAT_MAX))
+    f, top = (1, min(n, d)) if mean_only else (3, min(n, 2 * d))
     shift = v.bit_length() - 1  # v = 2^shift
     c = count = term = 1  # C(n, k) u^k, N_k and N_k C(n, k) u^k
     mean = second = 0  # over v^k
     for k in range(top + 1):
         mean = (mean << shift) + (c if k <= d else 0)
-        second = (second << shift) + term
+        if not mean_only:
+            second = (second << shift) + term
         # the ratio is below 1/2, and f^k c < 2^-1100 mean by their bits
         if k == top or (2 * f * (n - k) * u < (k + 1) * v
                         and (f**k).bit_length() + c.bit_length() + 1100 < mean.bit_length()):
             break
         step = (n - k) * u
         c = c * step // (k + 1)
-        if past_range:
+        if mean_only:
             continue
         if k < d:  # N_{k+1} = 3 N_k
             count, term = 3 * count, term * (3 * step) // (k + 1)
@@ -258,13 +243,13 @@ def moments_exact(model: CutModel) -> RegionMoments:
         count = 3 * count - binom * (4 * head - row)
         term = count * c
     scale = 1 << shift * k
-    if past_range:
+    if mean_only:
         second = variance = math.inf
     else:
         second, variance = _over(second, scale), _over(second * scale - mean * mean, scale * scale)
     mean = _over(mean, scale)
     if mean == math.inf:
-        raise OverflowError(f"the mean at d = {d} passes the float range")
+        raise OverflowError(f"the mean at d = {d} is past the float range")
     return RegionMoments(mean=mean, variance=variance, second_moment=second, method="exact")
 
 

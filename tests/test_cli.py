@@ -477,6 +477,14 @@ def test_moments_asymptotic_omits_second_moment():
     assert fields["method"] == "asymptotic"
 
 
+def test_moments_mean_is_correctly_rounded_where_binomials_pass_the_float_range():
+    """C(10^300, 3) is about 1.7e899; a float sum of the terms printed 1353534.3333330357."""
+    res = invoke("moments", "--n", str(10**300), "--p", "2e-298", "--dim", "3", "--method", "asymptotic")
+    assert res.exit_code == 0, res.output
+    fields = dict(zip(*[line.split(",") for line in res.stdout.splitlines()]))
+    assert fields["mean"] == fields["window_center"] == "1353534.3333333330"
+
+
 def test_clt_margin_matches_formula():
     res = invoke("clt", "--n", "1000", "--p", "0.25", "--samples", "10", "--seed", "3")
     assert res.exit_code == 0
@@ -636,7 +644,7 @@ def test_moments_reports_overflowing_n(method, dim, n):
     assert _single_error_line(res)
     assert f"Error: at --n {n} --p 0.5 --dim {dim}, the {method} route overflows: " in res.stderr
     assert method != "asymptotic" or f"d = {dim} is about" in res.stderr
-    assert method != "exact" or "the mean at d = 1000000 passes the float range" in res.stderr
+    assert method != "exact" or "the mean at d = 1000000 is past the float range" in res.stderr
 
 
 @pytest.mark.parametrize("argv, outcome", [

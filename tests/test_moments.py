@@ -44,46 +44,57 @@ def test_expected_regions_ignores_dimensions_beyond_n():
         assert expected_regions(CutModel(12, p, 10**4)) == expected_regions(CutModel(12, p, 12))
 
 
-def _expected_regions_by_floats(n: int, p: float, d: int) -> float:
-    """E(R) as expected_regions summed it while every C(n, i) had to be a float."""
-    return 1.0 + math.fsum(math.comb(n, i) * p**i for i in range(1, min(n, d) + 1))
+def _mean_by_fractions(n: int, p: float, top: int) -> float:
+    """float() of sum_{i<=top} C(n, i) p^i, summed as one Fraction over v^top."""
+    u, v = p.as_integer_ratio()
+    total, binom = 0, 1  # sum_{j<i} C(n, j) u^j v^(i-1-j), and C(n, i)
+    for i in range(top + 1):
+        total = total * v + binom * u**i
+        binom = binom * (n - i) // (i + 1)
+    return float(Fraction(total, v**top))
 
 
-def test_expected_regions_keeps_its_bits_where_every_binomial_is_a_float():
-    """clt's mean and the moments reference depend on these bits."""
+def test_expected_regions_is_correctly_rounded_where_every_binomial_is_a_float():
+    """clt's mean and the closed and asymptotic routes' means are these floats."""
     checked = 0
     for n in (1, 2, 5, 20, 1000, 10**4, 10**7, MAX_CUTS, 10**12, 10**52):
         for d in (1, 2, 3, 5, 10, 200):
             for p in [5e-324, 1e-300, 1e-100, 1e-20, 1e-6, 0.01, 0.3, 0.9, 1 - 2**-53, *P_GRID]:
                 try:
-                    want = _expected_regions_by_floats(n, p, d)
+                    want = _mean_by_fractions(n, p, min(n, d))
                 except OverflowError:
                     continue
-                assert expected_regions(CutModel(n, p, d)).hex() == want.hex(), (n, p, d)
+                assert expected_regions(CutModel(n, p, d)) == want, (n, p, d)
                 checked += 1
-    assert checked > 700
+    assert checked > 1100
+    # a float sum of the terms gives 0x1.ce147ae147ae2p+1 here
+    assert expected_regions(CutModel(2, 0.9, 2)).hex() == "0x1.ce147ae147ae1p+1"
 
 
-@pytest.mark.parametrize("n, p, d, want", [
-    (10**52, 5e-324, 7, 1.0),
-    (10**52, 5e-324, 10**9, 1.0),
-    (10**300, 1e-300, 10, sum(1 / math.factorial(i) for i in range(11))),
-    (10**300, 1e-300, 10**9, math.e),
-    (10**400, 0.0, 3, 1.0),
+@pytest.mark.parametrize("n, p, d, terms, want, seconds", [
+    (10**52, 5e-324, 7, 7, 1.0, 0.1),
+    (10**52, 5e-324, 10**9, 10, 1.0, 0.1),
+    # about 970 terms of 200 000 bits each before the rest is small enough
+    (10**52, 2e-50, 10**9, 1000, 7.22597376812576e+86, 1.0),
+    (10**300, 1e-300, 10, 10, 2.7182818011463845, 0.1),
+    (10**300, 1e-300, 10**9, 200, math.e, 0.1),
+    (10**400, 0.0, 3, 3, 1.0, 0.1),
 ])
-def test_expected_regions_takes_a_huge_binomial_from_its_logarithm(n, p, d, want):
-    """C(n, i) is past the float range here, but its term and E(R) are not."""
+def test_expected_regions_takes_a_huge_binomial_from_its_logarithm(n, p, d, terms, want, seconds):
+    """C(n, i) is past the float range here, but E(R) is not; past the
+    given number of terms, the rest is below 2^-1100 of it."""
     with pytest.raises(OverflowError):
-        _expected_regions_by_floats(n, p, min(d, 10))
+        float(math.comb(n, min(d, 10)))
+    assert _mean_by_fractions(n, p, terms) == want
     start = time.perf_counter()
-    assert close(expected_regions(CutModel(n, p, d)), want, rel=1e-12)
-    assert time.perf_counter() - start < 0.1
+    assert expected_regions(CutModel(n, p, d)) == want
+    assert time.perf_counter() - start < seconds
 
 
 @pytest.mark.parametrize("n, p, d", [(10**52, 0.5, 10**9), (10**7, 0.5, 10**7), (2000, 0.5, 10**6)])
 def test_expected_regions_raises_only_past_the_float_range(n, p, d):
     start = time.perf_counter()
-    with pytest.raises(OverflowError, match="passes the float range"):
+    with pytest.raises(OverflowError, match="past the float range"):
         expected_regions(CutModel(n, p, d))
     assert time.perf_counter() - start < 0.1
 
