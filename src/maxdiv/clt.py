@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from maxdiv import MAX_CUTS, MAX_SAMPLES, MAX_SEED
 from maxdiv.moments import CutModel, expected_regions, variance_closed_form
@@ -192,34 +192,6 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     return lo, cdf
 
 
-def _window_draws(n: int, p: float, m: int, seed: int) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """(outcomes, chunks): draw i of n cuts kept with probability p is
-    outcomes[index i of the concatenated chunks], where outcomes holds
-    the window outcomes a draw can reach, in increasing order.
-
-    Uniform number i of a counter-based stream keyed by the seed is
-    inverted through the windowed CDF.  The chunks hold at most
-    CHUNK_DRAWS indices.  The caller has checked n >= 1 and p strictly
-    inside (0, 1); n <= MAX_CUTS, m and the seed are checked before
-    anything is built.
-    """
-    if n > MAX_CUTS:
-        raise ValueError(
-            f"cut count {n} exceeds {MAX_CUTS}, the largest whose region counts fit in int64"
-        )
-    if not 1 <= m <= MAX_SAMPLES:
-        raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2^128 - 1], got {seed}")
-    import numpy as np
-
-    outcomes, invert = _inverter(n, p, m)
-    stream = np.random.Generator(np.random.Philox(key=seed))
-    chunks = (invert(stream.random(min(CHUNK_DRAWS, m - start)))
-              for start in range(0, m, CHUNK_DRAWS))
-    return outcomes, chunks
-
-
 def _inverter(n: int, p: float, m: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """(outcomes, invert): outcomes[invert(u)] is lo + np.searchsorted(cdf, u)
     for (lo, cdf) = _binomial_cdf(n, p) and every u Generator.random
@@ -277,15 +249,26 @@ def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     increases with the outcome, so the histogram is already sorted.
     """
     sigma = _exact_sigma(n, p)
-    outcomes, chunks = _window_draws(n, p, m, seed)
+    if n > MAX_CUTS:
+        raise ValueError(
+            f"cut count {n} exceeds {MAX_CUTS}, the largest whose region counts fit in int64"
+        )
+    if not 1 <= m <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be in [1, {MAX_SAMPLES}], got {m}")
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must be in [0, 2^128 - 1], got {seed}")
     import numpy as np
 
+    outcomes, invert = _inverter(n, p, m)
+    stream = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(outcomes.size, dtype=np.int64)
-    for index in chunks:
+    for start in range(0, m, CHUNK_DRAWS):
+        index = invert(stream.random(min(CHUNK_DRAWS, m - start)))
         # counts over the chunk's own range, a part of the outcomes
         low = int(index.min())
         part = np.bincount(index - low)
         counts[low:low + part.size] += part
+    del invert  # its guide table and CDF would otherwise stay alive through the KS run
     x = outcomes[counts > 0]
     values = (1 + x + x * (x - 1) // 2).astype(np.float64)
     return _ks(values, counts[counts > 0], n, p, sigma)

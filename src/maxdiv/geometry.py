@@ -1,9 +1,10 @@
 """Region counts for maximal chord divisions of the unit disk.
 
-The straight-cut region-count maximum in any dimension, and an
-independent geometric counter that works directly on a set of chords via
-Euler's formula.  The piece areas of the symmetric seven-piece division
-are computed in ``maxdiv.fairness``, the one place their formulas live.
+The straight-cut region-count maximum in any dimension, and a geometric
+counter that works directly on a set of chords: 1 + n + (interior
+crossings), with the crossings found and checked by validate_chord_set.
+The piece areas of the symmetric seven-piece division are computed in
+``maxdiv.fairness``, the one place their formulas live.
 """
 
 from __future__ import annotations
@@ -132,24 +133,17 @@ def validate_chord_set(chords: Sequence[Chord]) -> list[tuple[int, int, tuple[fl
 
 
 def count_regions_geometric(chords: Sequence[Chord]) -> int:
-    """Count the pieces a chord set cuts the disk into, via Euler's formula.
+    """Count the pieces a chord set cuts the disk into: 1 + n + c for n
+    chords with c interior crossings (Zaslavsky 1975).
 
-    Builds the planar subdivision instead of trusting any counting
-    formula: vertices are the 2n points on the circle plus the interior
-    crossings, edges are the chord segments between consecutive
-    crossings plus the 2n boundary arcs, and V - E + F = 2 gives the
-    face count of the connected subdivision.
+    Each chord adds one piece, plus one for each crossing on it with an
+    earlier chord.  This is Euler's formula for the subdivision: V = 2n
+    + c and E = 3n + 2c, so F - 1 = E - V + 1 = 1 + n + c.  The count
+    comes from the crossings validate_chord_set finds, not from n alone;
+    but that check refuses every set that is not maximal, so c = C(n, 2)
+    and the count restates max_regions(n, 2) for every set it accepts.
     """
-    n = len(chords)
-    crossings = validate_chord_set(chords)
-    per_chord = [0] * n
-    for i, j, _ in crossings:
-        per_chord[i] += 1
-        per_chord[j] += 1
-    vertices = 2 * n + len(crossings)
-    edges = sum(1 + k for k in per_chord) + 2 * n
-    faces = edges - vertices + 2
-    return faces - 1
+    return 1 + len(chords) + len(validate_chord_set(chords))
 
 
 def random_chord_set(n: int, seed: int) -> tuple[Chord, ...]:

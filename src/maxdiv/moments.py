@@ -29,7 +29,10 @@ class UnsupportedDimensionError(ValueError):
 
 
 class CutModel(NamedTuple("CutModel", [("n", int), ("p", float), ("d", int)])):
-    """n attempted cuts, each kept with probability p, in dimension d."""
+    """n attempted cuts, each kept with probability p, in dimension d.
+
+    p is stored as p + 0.0: -0.0 becomes 0.0, so no moment is -0.0.
+    """
 
     __slots__ = ()
 
@@ -40,7 +43,7 @@ class CutModel(NamedTuple("CutModel", [("n", int), ("p", float), ("d", int)])):
             raise ValueError(f"probability {p!r} outside [0, 1]")
         if d < 1:
             raise ValueError(f"dimension must be at least 1, got {d}")
-        return super().__new__(cls, n, p, d)
+        return super().__new__(cls, n, p + 0.0, d)
 
 
 class RegionMoments(NamedTuple):

@@ -485,6 +485,21 @@ def test_moments_mean_is_correctly_rounded_where_binomials_pass_the_float_range(
     assert fields["mean"] == fields["window_center"] == "1353534.3333333330"
 
 
+@pytest.mark.parametrize("method", ["exact", "closed", "asymptotic"])
+@pytest.mark.parametrize("dim", ["2", "3"])
+def test_moments_at_a_negative_zero_p_print_no_negative_zero_moment(method, dim):
+    argv = ("moments", "--n", "5", "--p", "-0.0", "--dim", dim, "--method", method)
+    csv = invoke(*argv)
+    assert csv.exit_code == 0, csv.output
+    fields = dict(zip(*[line.split(",") for line in csv.stdout.splitlines()]))
+    listed = invoke(*argv, "--format", "json")
+    assert listed.exit_code == 0, listed.output
+    (row,) = json.loads(listed.stdout)["results"]
+    for name in ("variance", "second_moment", "window_center", "window_scale"):
+        assert not fields[name].startswith("-"), name
+        assert row[name] is None or math.copysign(1.0, row[name]) == 1.0, name
+
+
 def test_clt_margin_matches_formula():
     res = invoke("clt", "--n", "1000", "--p", "0.25", "--samples", "10", "--seed", "3")
     assert res.exit_code == 0

@@ -33,16 +33,13 @@ KS_SAMPLES = 10**5
 
 
 def sample_region_counts(n: int, p: float, m: int, seed: int) -> np.ndarray:
-    """Reference sampler: the m region counts of ``sample_normality``'s
-    draws, held in full.  Like ``sample_normality``, it refuses n < 1 and
-    a degenerate p before drawing; a cut or sample count beyond its limit
-    is named first, by ``_window_draws``."""
-    if n < 1:
-        raise ValueError(f"cut count must be positive, got {n}")
-    if n <= MAX_CUTS and 1 <= m <= MAX_SAMPLES:
-        clt._require_nondegenerate(p)
-    outcomes, chunks = clt._window_draws(n, p, m, seed)
-    x = outcomes[np.concatenate(list(chunks))]
+    """Reference sampler: the m region counts that ``sample_normality``
+    draws, held in full.  Uniform i of the Philox stream keyed by the seed
+    is inverted by a binary search over the whole window CDF, with no
+    guide table; the caller passes inputs ``sample_normality`` accepts."""
+    lo, cdf = _binomial_cdf(n, p)
+    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(m)
+    x = lo + np.searchsorted(cdf, uniforms, side="left")
     return 1 + x + x * (x - 1) // 2
 
 
@@ -218,12 +215,12 @@ def test_sample_moments_via_monte_carlo_bundle():
 
 
 def test_sample_validation():
-    with pytest.raises(ValueError):
-        sample_region_counts(0, 0.5, 10, seed=0)
-    with pytest.raises(ValueError):
-        sample_region_counts(5, 0.5, 0, seed=0)
-    with pytest.raises(ValueError):
-        sample_region_counts(5, 1.5, 10, seed=0)
+    with pytest.raises(ValueError, match="positive"):
+        sample_normality(0, 0.5, 10, 0)
+    with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+        sample_normality(5, 0.5, 0, 0)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        sample_normality(5, 1.5, 10, 0)
 
 
 def test_max_cuts_is_the_int64_limit():
@@ -249,12 +246,13 @@ def test_samples_at_the_cut_limit_are_exact_region_counts():
         assert abs(x - MAX_CUTS * 0.9) <= 6 * sigma
 
 
-@pytest.mark.parametrize("n, m, limit_mib", [(10**7, 10**6, 3.5), (MAX_CUTS, 10**5, 32)])
+@pytest.mark.parametrize("n, m, limit_mib", [(10**7, 10**6, 2.6), (MAX_CUTS, 10**5, 32)])
 def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
     """numpy reports its buffers to tracemalloc.  Building the window in
     place and drawing from the reachable entries keeps the peak near
     2.4 and 25 MiB; a window built from fresh arrays and kept for the
-    draws reads 5.3 and 65.7 MiB."""
+    draws reads 5.3 and 65.7 MiB, and a guide table kept alive through
+    the KS run reads 2.9 MiB at n = 10^7."""
     sample_normality(100, 0.5, 10, 1)
     tracemalloc.start()
     try:
@@ -266,17 +264,19 @@ def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
 
 
 def test_samples_beyond_the_cut_limit_are_refused():
-    for p in (0.0, 0.9, 1.0):
-        with pytest.raises(ValueError, match="int64"):
-            sample_region_counts(MAX_CUTS + 1, p, 5, seed=3)
+    """A degenerate p is named before the cut count."""
+    for p, message in ((0.0, "degenerate"), (0.9, "int64"), (1.0, "degenerate")):
+        with pytest.raises(ValueError, match=message):
+            sample_normality(MAX_CUTS + 1, p, 5, 3)
 
 
 def test_samples_beyond_the_sample_limit_are_refused_before_allocating():
+    """A degenerate p is named before the sample count."""
     tracemalloc.start()
     try:
-        for p in (0.0, 0.5, 1.0):
-            with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
-                sample_region_counts(10**7, p, MAX_SAMPLES + 1, seed=3)
+        for p, message in ((0.0, "degenerate"), (0.5, str(MAX_SAMPLES)), (1.0, "degenerate")):
+            with pytest.raises(ValueError, match=message):
+                sample_normality(10**7, p, MAX_SAMPLES + 1, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -292,6 +292,7 @@ def test_seeds_outside_128_bits_are_refused_not_aliased():
     top = sample_region_counts(1000, 0.3, 1000, MAX_SEED)
     assert np.array_equal(top, _reference_draws(1000, 0.3, 1000, MAX_SEED))
     assert not np.array_equal(top, sample_region_counts(1000, 0.3, 1000, 0))
+    assert sample_normality(1000, 0.3, 1000, MAX_SEED) == ks_distance(top, 1000, 0.3)
 
 
 def _reference_draws(n: int, p: float, m: int, seed: int) -> np.ndarray:
@@ -392,12 +393,11 @@ def test_inverter_keeps_only_the_reachable_entries():
                                12 * CHUNK_DRAWS + 5])
 def test_streamed_draws_equal_one_shot_draws(m):
     """Chunked draws are the draws of one stream.random(m) call, inverted
-    by binary search over the same windowed CDF."""
+    by binary search over the same windowed CDF: the KS run over the
+    chunks' histogram is the KS run over those one-shot draws."""
     n, p, seed = 10**4, 0.3, 17 + m
-    lo, cdf = _binomial_cdf(n, p)
-    uniforms = np.random.Generator(np.random.Philox(key=seed)).random(m)
-    x = lo + np.searchsorted(cdf, uniforms, side="left")
-    assert np.array_equal(sample_region_counts(n, p, m, seed), 1 + x + x * (x - 1) // 2)
+    expected = ks_distance(sample_region_counts(n, p, m, seed), n, p)
+    assert sample_normality(n, p, m, seed) == expected
 
 
 @pytest.mark.parametrize("n, p, m, seed", [

@@ -33,31 +33,35 @@ CHECKPOINTS = [
 def signature_region_count(chords):
     """Independent region count: distinct side-of-chord sign vectors.
 
-    Regions of a line arrangement restricted to the disk are convex, so
-    each has exactly one sign vector, and every region touches at least
-    one vertex of the subdivision.  Probing a small ring around every
-    vertex therefore visits every region.
+    Each region is bounded by at least one chord segment, the part of a
+    chord between consecutive crossings or endpoints.  A ball around the
+    segment's midpoint that meets no other chord and stays in the disk
+    has one region on each side of the chord, so probing both sides of
+    every midpoint, at half that ball's radius, visits every region.
     """
-    crossings = validate_chord_set(chords)
-    ring = [(math.cos(2 * math.pi * k / 16), math.sin(2 * math.pi * k / 16)) for k in range(16)]
-    centers = [p for _, _, p in crossings]
-    for c in chords:
-        centers.extend(c.endpoints())
+    lines = [(*c.normal, c.offset) for c in chords]
+
+    def side(point, line):
+        return point[0] * line[0] + point[1] * line[1] - line[2]
+
     seen = set()
-    for cx, cy in centers:
-        for dx, dy in ring:
-            px, py = cx + 2e-4 * dx, cy + 2e-4 * dy
-            if math.hypot(px, py) >= 1.0 - 1e-7:
-                continue
-            sides = []
-            for c in chords:
-                nx, ny = c.normal
-                s = px * nx + py * ny - c.offset
-                if abs(s) < 1e-9:
-                    break
-                sides.append(s > 0.0)
-            else:
-                seen.add(tuple(sides))
+    for i, chord in enumerate(chords):
+        nx, ny, _ = lines[i]
+        (ax, ay), (bx, by) = chord.endpoints()
+        ts = [0.0, 1.0]
+        for j, other in enumerate(lines):
+            da, db = side((ax, ay), other), side((bx, by), other)
+            if j != i and (da < 0.0) != (db < 0.0):
+                ts.append(da / (da - db))
+        ts.sort()
+        for t0, t1 in zip(ts, ts[1:]):
+            t = (t0 + t1) / 2
+            mx, my = ax + t * (bx - ax), ay + t * (by - ay)
+            clear = min([1.0 - math.hypot(mx, my)]
+                        + [abs(side((mx, my), line)) for j, line in enumerate(lines) if j != i])
+            for sign in (1.0, -1.0):
+                probe = (mx + sign * clear / 2 * nx, my + sign * clear / 2 * ny)
+                seen.add(tuple(side(probe, line) > 0.0 for line in lines))
     return len(seen)
 
 
@@ -170,12 +174,13 @@ def test_count_regions_hand_built_three_chords():
 
 
 def test_count_regions_matches_signature_oracle():
-    for n in range(1, 7):
+    """Up to n = 10, the largest `oracle --n` takes."""
+    for n in range(1, 11):
         for seed in range(10):
             cs = random_chord_set(n, seed)
-            euler = count_regions_geometric(cs)
-            assert euler == signature_region_count(cs)
-            assert euler == max_regions(n, 2)
+            counted = count_regions_geometric(cs)
+            assert counted == signature_region_count(cs)
+            assert counted == max_regions(n, 2)
 
 
 def test_random_chord_set_deterministic():

@@ -132,6 +132,18 @@ def test_variance_anchor():
     assert variance_closed_form(CutModel(3, 1.0, 3)) == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("route", [moments_exact, moments_closed_form, moments_asymptotic])
+def test_a_negative_zero_p_gives_no_negative_zero_moment(route, d):
+    """p = -0.0 is p = 0: every variance, second moment and window scale
+    is +0.0, not the -0.0 that n p q gave the closed form."""
+    bundle = route(CutModel(5, -0.0, d))
+    for value in (bundle.variance, bundle.second_moment):
+        assert value is None or math.copysign(1.0, value) == 1.0
+    for value in concentration_window(CutModel(5, -0.0, 2)):
+        assert math.copysign(1.0, value) == 1.0
+
+
 def test_degenerate_probabilities():
     for d in (2, 3):
         sure = CutModel(6, 1.0, d)

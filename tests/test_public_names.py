@@ -5,7 +5,8 @@ A top-level function or class of ``maxdiv.geometry``, ``fairness``,
 be referred to by code in ``src/``, or be one of the formulas the paper
 states.  A private one of those modules or of ``maxdiv.cli`` must be
 referred to by code in ``src/``.  Code that only tests call belongs in
-``tests/``.
+``tests/``.  Every name a ``src/maxdiv`` module imports must be read
+where it is imported.
 """
 
 import ast
@@ -96,3 +97,31 @@ def test_every_private_name_has_a_use_in_src():
     unused = sorted(f"{module}.{name}" for module, name in _defined(PRIVATE_MODULES, private=True)
                     if (module, name) not in used)
     assert unused == [], f"only tests use {unused}: move them into tests/ or delete them"
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names an import binds that its scope never reads: the innermost
+    function around the import, or the module.  ``__future__`` imports
+    are skipped.  Annotations are expressions in the tree, so a name read
+    only in an annotation counts as read."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(node, functions)]
+    owner = {}
+    for scope in scopes:  # outer scopes come first, so the innermost one wins
+        for node in ast.walk(scope):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                owner[node] = scope
+    unread = []
+    for node, scope in owner.items():
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        read = {name.id for name in ast.walk(scope)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [f"{alias.asname or alias.name} (line {node.lineno})" for alias in node.names
+                   if (alias.asname or alias.name.split(".")[0]) not in read]
+    return unread
+
+
+def test_every_imported_name_is_read():
+    unread = {path.name: _unread_imports(_parse(path)) for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unread.items() if names} == {}
