@@ -21,7 +21,6 @@ from maxdiv.geometry import (
 from maxdiv.moments import (
     CutModel,
     concentration_window,
-    exact_moments_rational,
     expected_regions,
     moments_exact,
     second_moment_2d,

@@ -75,6 +75,7 @@ def test_fairness_json_schema():
 
 
 FAIRNESS_FINE_CSV_SHA256 = "aac7d800d4e0ce6d505aef09845fcf0a4a381c275e51074a85103740c191927a"
+FAIRNESS_FINE_SUMMARY_SHA256 = "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
 
 
 def test_fairness_fine_output_digest(tmp_path):
@@ -84,9 +85,7 @@ def test_fairness_fine_output_digest(tmp_path):
     argv = [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--tol", "1e-10"]
     proc = subprocess.run(argv, capture_output=True, check=True)
     assert hashlib.sha256(proc.stdout).hexdigest() == FAIRNESS_FINE_CSV_SHA256
-    assert hashlib.sha256(proc.stderr).hexdigest() == (
-        "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
-    )
+    assert hashlib.sha256(proc.stderr).hexdigest() == FAIRNESS_FINE_SUMMARY_SHA256
     target = tmp_path / "table.csv"
     out = subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
     assert out.stdout == b""
@@ -120,17 +119,103 @@ def _readme_commands() -> dict:
     raise AssertionError("perfbench/run.py defines no README_COMMANDS")
 
 
+def _assert_reference(name, proc):
+    with open(os.path.join(PERFBENCH, "refs", f"{name}.out"), "rb") as out:
+        assert proc.stdout == out.read()
+    with open(os.path.join(PERFBENCH, "refs", f"{name}.err"), "rb") as err:
+        assert proc.stderr == err.read()
+    assert proc.returncode == 0
+
+
 @pytest.mark.parametrize("name, argv", sorted(_readme_commands().items()))
 def test_readme_commands_match_the_recorded_references(name, argv):
     """The README commands print exactly perfbench/refs/NAME.out and .err."""
     proc = subprocess.run(
         [sys.executable, "-m", "maxdiv", *argv], capture_output=True, timeout=60,
     )
-    with open(os.path.join(PERFBENCH, "refs", f"{name}.out"), "rb") as out:
-        assert proc.stdout == out.read()
-    with open(os.path.join(PERFBENCH, "refs", f"{name}.err"), "rb") as err:
-        assert proc.stderr == err.read()
+    _assert_reference(name, proc)
+
+
+# A standalone run ends in os._exit, which flushes nothing: these tests run
+# the CLI with PYTHONUNBUFFERED removed, so standard output is a
+# block-buffered pipe and a byte left in its buffer would be lost.
+
+def _environ(unbuffered: bool = False) -> dict:
+    """This process's environment with PYTHONUNBUFFERED=1, or without it."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def _block_buffered(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m maxdiv ARGV` without PYTHONUNBUFFERED, output to pipes."""
+    return subprocess.run([sys.executable, "-m", "maxdiv", *argv], capture_output=True,
+                          env=_environ(), timeout=60)
+
+
+@pytest.mark.parametrize("name, argv", sorted(_readme_commands().items()))
+def test_readme_commands_lose_no_byte_in_a_block_buffered_pipe(name, argv):
+    _assert_reference(name, _block_buffered(*argv))
+
+
+@pytest.mark.parametrize("fmt, stdout_sha256, stderr_sha256", [
+    ("csv", FAIRNESS_FINE_CSV_SHA256, FAIRNESS_FINE_SUMMARY_SHA256),
+    ("json", "0add8e3c10e7e9758ef3dea1468fdde9f1056ed2920e0ac1413bd68285a7145e",
+     hashlib.sha256(b"").hexdigest()),
+])
+def test_fairness_fine_loses_no_byte_in_a_block_buffered_pipe(fmt, stdout_sha256, stderr_sha256):
+    """`fairness --grid 100000` in CSV and JSON; the JSON digest was
+    recorded from the run that ended in sys.exit."""
+    proc = _block_buffered("fairness", "--grid", "100000", "--tol", "1e-10", "--format", fmt)
     assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout).hexdigest() == stdout_sha256
+    assert hashlib.sha256(proc.stderr).hexdigest() == stderr_sha256
+
+
+def test_help_and_a_usage_error_lose_no_byte_in_a_block_buffered_pipe():
+    proc = _block_buffered("--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, invoke("--help").stdout_bytes, b"")
+    proc = _block_buffered("fairness", "--grid", "1")
+    usage = invoke("fairness", "--grid", "1")
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", usage.stderr)
+
+
+def test_standalone_main_runs_no_exit_handler():
+    """Standalone main() ends the process in os._exit once its output is
+    flushed: an atexit handler registered before it does not run."""
+    code = (
+        "import atexit, sys\n"
+        "from maxdiv.cli import main\n"
+        "atexit.register(lambda: sys.stderr.write('exit handler ran\\n'))\n"
+        f"main({_readme_commands()['moments']!r})\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_environ(),
+                          timeout=60)
+    _assert_reference("moments", proc)
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose read end is closed: each write fails."""
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    return write_fd
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("target, reason", [
+    pytest.param("/dev/full", "[Errno 28] No space left on device", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full here")),
+    ("closed pipe", "[Errno 32] Broken pipe"),
+])
+@pytest.mark.parametrize("argv", [["--help"], ["clt", "--help"]])
+def test_help_to_a_failing_stdout_is_one_error_line(argv, target, reason, unbuffered):
+    stdout = _closed_pipe() if target == "closed pipe" else os.open(target, os.O_WRONLY)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "maxdiv", *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, env=_environ(unbuffered), timeout=60)
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"Error: cannot write to standard output: {reason}\n"
 
 
 @pytest.mark.parametrize("grid", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])

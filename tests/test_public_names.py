@@ -5,14 +5,15 @@ A top-level function or class of ``maxdiv.geometry``, ``fairness``,
 be referred to by code in ``src/``, or be one of the formulas the paper
 states.  A private one of those modules or of ``maxdiv.cli`` must be
 referred to by code in ``src/``.  Code that only tests call belongs in
-``tests/``.  Every name a ``src/maxdiv`` module imports must be read
-where it is imported.
+``tests/``.  Every name a ``src/maxdiv`` module or a test module
+imports must be read where it is imported.
 """
 
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "maxdiv"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "maxdiv"
 MODULES = ("geometry", "fairness", "moments", "clt")
 PRIVATE_MODULES = MODULES + ("cli",)
 
@@ -123,5 +124,6 @@ def _unread_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_imported_name_is_read():
-    unread = {path.name: _unread_imports(_parse(path)) for path in sorted(SRC.glob("*.py"))}
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unread = {f"{path.parent.name}/{path.name}": _unread_imports(_parse(path)) for path in paths}
     assert {name: names for name, names in unread.items() if names} == {}
