@@ -17,14 +17,17 @@ The options of each subcommand are one table in COMMANDS, read by a
 small parser on the standard library alone; ``--help`` prints them.  The
 exit status is 0 for success, 1 for a failed run and 2 for a usage
 error, and each failure writes one "Error:" line to standard error.
+Results go out through _write, diagnostics through _say.  A diagnostic
+that cannot be written never changes the status of an error, and a
+success whose fairness summary cannot be written ends with status 1.
 Each subcommand imports the analysis module it calls, and json is
 imported only for JSON output, so a run loads only what it uses; ``clt``
 also keeps OpenSSL unloaded where CPython's own hash modules exist,
 which leaves the process the built-in hashlib.
 
 A standalone run (the ``maxdiv`` command, ``python -m maxdiv``) ends as
-soon as its output is written: main flushes standard output, then
-standard error, and calls os._exit.  That skips the interpreter's
+soon as its output is written: main flushes standard output (_say has
+flushed each diagnostic) and calls os._exit.  That skips the interpreter's
 teardown, which frees every object and unloads every module, numpy's
 too, and writes nothing.  From the end of main to the parent's wait4,
 the teardown took 11.6 ms of an 81 ms ``moments`` README command and
@@ -258,6 +261,17 @@ def _render(header, count, cells, params, warnings, fmt, precision, summary=None
     yield (",\n".join(tail) + "\n}\n").encode()
 
 
+def _say(text: str) -> bool:
+    """Write text and a newline to standard error in one call and flush
+    it; False, and nothing raised, if the stream is None or fails."""
+    try:
+        sys.stderr.write(text + "\n")
+        sys.stderr.flush()
+        return True
+    except (AttributeError, OSError, ValueError):  # None, a failed write, a closed stream
+        return False
+
+
 def _write(chunks, out: str) -> None:
     """Write the byte chunks to out, or to standard output for "-", as they come.
 
@@ -325,7 +339,7 @@ def _summary_lines(summary: dict, precision: int) -> list[str]:
     return lines
 
 
-def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -> None:
+def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -> int:
     """Tabulate the fairness measures and locate all optima.
 
     The table holds one row per grid point; the optimum summary goes to
@@ -349,9 +363,7 @@ def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -
     _write(_render(FAIRNESS_HEADER, grid,
                    lambda lo, hi: fairness_mod._measures(fairness_mod._grid(grid, lo, hi)),
                    params, [], format, precision, summary=summary if format == "json" else None), out)
-    if format == "csv":
-        for line in _summary_lines(summary, precision):
-            print(line, file=sys.stderr)
+    return 0 if format == "json" or _say("\n".join(_summary_lines(summary, precision))) else 1
 
 
 def cmd_moments(n: int, p: float, dim: int, method: str,
@@ -582,12 +594,11 @@ def main(argv=None, standalone_mode: bool = True) -> int:
             _write((text.encode() for text in [_help(command) + "\n"]), "-")
         status = 0 if values is None else COMMANDS[command][0](**values) or 0
     except CliError as exc:
-        if exc.status == 2:
-            print(_help(command).split("\n")[0], file=sys.stderr)
-        print(f"Error: {exc}", file=sys.stderr)
+        usage = _help(command).split("\n")[0] + "\n" if exc.status == 2 else ""
+        _say(f"{usage}Error: {exc}")
         status = exc.status
     except KeyboardInterrupt:
-        print("Aborted!", file=sys.stderr)
+        _say("Aborted!")
         status = 1
     if standalone_mode:
         _exit_flushed(status)
@@ -595,31 +606,25 @@ def main(argv=None, standalone_mode: bool = True) -> int:
 
 
 def _exit_flushed(status: int) -> None:
-    """Flush standard output, then standard error, and end the process
-    with status at once, without the interpreter's teardown; never returns.
+    """Flush standard output and end the process with status at once,
+    without the interpreter's teardown; never returns.
 
-    A stream that is None is skipped.  A failed flush of standard output
-    is one Error: line and status 1, and a failed write to standard error
-    turns a status of 0 into 1.  Nothing else is lost: by the time main
-    calls this, an --out file is closed and forked workers are reaped.
+    A standard output that is None is skipped, and a failed flush of it is
+    one Error: line and status 1.  Nothing else is lost: by the time main
+    calls this, _say has flushed every diagnostic, an --out file is
+    closed and forked workers are reaped.
     """
     try:
-        try:
-            if sys.stdout is not None:
-                sys.stdout.flush()
-        except OSError as exc:
-            status = 1
-            if sys.stderr is not None:
-                print(f"Error: cannot write to standard output: {exc}", file=sys.stderr)
-        if sys.stderr is not None:
-            sys.stderr.flush()
-    except OSError:
-        status = status or 1
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        status = 1
+        _say(f"Error: cannot write to standard output: {exc}")
     finally:
         os._exit(status)
 
 
-cli = SimpleNamespace(main=main)  # cli.main(argv, standalone_mode=False) runs a command in-process
+cli = SimpleNamespace(main=main)  # only perfbench/worker.py calls it; ROADMAP item 1 deletes it
 
 if __name__ == "__main__":
     main()

@@ -47,6 +47,7 @@ CHUNK_DRAWS = 1 << 14
 # Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
 # 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
 _WINDOW_SCALE = math.sqrt(1101 * math.log(2) / 2)
+_SQRT2 = math.sqrt(2.0)
 
 
 class RinottTerms(NamedTuple):
@@ -263,15 +264,13 @@ def sample_normality(n: int, p: float, m: int, seed: int) -> NormalitySample:
     stream = np.random.Generator(np.random.Philox(key=seed))
     counts = np.zeros(outcomes.size, dtype=np.int64)
     for start in range(0, m, CHUNK_DRAWS):
-        index = invert(stream.random(min(CHUNK_DRAWS, m - start)))
-        # counts over the chunk's own range, a part of the outcomes
-        low = int(index.min())
-        part = np.bincount(index - low)
-        counts[low:low + part.size] += part
+        counts += np.bincount(invert(stream.random(min(CHUNK_DRAWS, m - start))),
+                              minlength=counts.size)
     del invert  # its guide table and CDF would otherwise stay alive through the KS run
-    x = outcomes[counts > 0]
+    drawn = counts > 0
+    x = outcomes[drawn]
     values = (1 + x + x * (x - 1) // 2).astype(np.float64)
-    return _ks(values, counts[counts > 0], n, p, sigma)
+    return _ks(values, counts[drawn], n, p, sigma)
 
 
 def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) -> NormalitySample:
@@ -284,7 +283,7 @@ def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) 
     z = (values - mean) / sigma
     phi = np.empty(z.size)
     for start in range(0, z.size, CHUNK_DRAWS):  # not one float object per value at once
-        phi[start:start + CHUNK_DRAWS] = [0.5 * math.erfc(-v / math.sqrt(2.0))
+        phi[start:start + CHUNK_DRAWS] = [0.5 * math.erfc(-v / _SQRT2)
                                           for v in z[start:start + CHUNK_DRAWS].tolist()]
     cumulative = np.cumsum(counts)
     m = int(cumulative[-1])

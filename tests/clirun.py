@@ -4,7 +4,7 @@ import io
 import sys
 from typing import NamedTuple
 
-from maxdiv.cli import cli
+from maxdiv.cli import main
 
 
 class Result(NamedTuple):
@@ -22,15 +22,15 @@ class Result(NamedTuple):
 
 
 def invoke(*args: str) -> Result:
-    """`maxdiv ARGS` through cli.main(argv, standalone_mode=False), with
+    """`maxdiv ARGS` through main(argv, standalone_mode=False), with
     standard output and standard error captured.  An exception that
-    cli.main lets out propagates, so a traceback fails the calling test."""
+    main lets out propagates, so a traceback fails the calling test."""
     out, err = io.BytesIO(), io.StringIO()
     stdout = io.TextIOWrapper(out, encoding="utf-8")
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = stdout, err
     try:
-        code = cli.main(list(args), standalone_mode=False)
+        code = main(list(args), standalone_mode=False)
         stdout.flush()
     finally:
         sys.stdout, sys.stderr = saved

@@ -1,5 +1,7 @@
 import ast
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +16,7 @@ from clirun import invoke
 from maxdiv import MAX_SAMPLES, MAX_SEED
 from maxdiv import cli as cli_module
 from maxdiv import moments as moments_module
-from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, cli
+from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, main
 from maxdiv.clt import MAX_CUTS
 from maxdiv.fairness import _grid, _measures
 from maxdiv.moments import RegionMoments
@@ -218,6 +220,52 @@ def test_help_to_a_failing_stdout_is_one_error_line(argv, target, reason, unbuff
     assert proc.stderr.decode() == f"Error: cannot write to standard output: {reason}\n"
 
 
+class _FullStream(io.TextIOBase):
+    """A standard error whose every write fails, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# a usage error, a run error, and a success whose CSV summary is lost
+_STDERR_FAILS = [(["moments", "--n", "0", "--p", "0.5"], 2), (["clt", "--n", "10", "--p", "0"], 1),
+                 (["fairness", "--grid", "3"], 1)]
+
+
+@pytest.mark.parametrize("argv, status", _STDERR_FAILS)
+def test_a_failing_stderr_changes_no_error_status_in_process(monkeypatch, argv, status):
+    """main returns, with the same standard output as with a working
+    standard error; only a success that cannot write its summary fails."""
+    working = invoke(*argv)
+    out = io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "stderr", _FullStream())
+    assert main(argv, standalone_mode=False) == status
+    stdout.flush()
+    assert out.getvalue() == working.stdout_bytes
+    assert working.exit_code == (0 if argv[0] == "fairness" else status)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("target", [
+    pytest.param("/dev/full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full here")),
+    pytest.param("closed", marks=pytest.mark.skipif(
+        os.name != "posix", reason="closes a file descriptor between fork and exec")),
+])
+@pytest.mark.parametrize("argv, status", _STDERR_FAILS)
+def test_a_standalone_run_with_a_failing_stderr_keeps_its_status(argv, status, target, unbuffered):
+    """Standard output holds what a run with a working standard error
+    writes: a diagnostic for a standard error that is None is dropped."""
+    with open(os.devnull if target == "closed" else target, "wb") as stderr:
+        proc = subprocess.run([sys.executable, "-m", "maxdiv", *argv], stdout=subprocess.PIPE,
+                              stderr=stderr, env=_environ(unbuffered), timeout=60,
+                              preexec_fn=(lambda: os.close(2)) if target == "closed" else None)
+    assert proc.returncode == status
+    assert proc.stdout == invoke(*argv).stdout_bytes
+
+
 @pytest.mark.parametrize("grid", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
 def test_fairness_csv_stream_matches_scan(grid):
     res = invoke("fairness", "--grid", str(grid), "--precision", "12")
@@ -376,7 +424,7 @@ def test_fairness_failed_write_ends_every_worker(monkeypatch, forks, capsys):
     os.set_blocking(write_fd, False)
     with open(read_fd, "rb"), open(write_fd, "w") as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
-        assert cli.main(argv, standalone_mode=False) == 1
+        assert main(argv, standalone_mode=False) == 1
     assert capsys.readouterr().err.startswith("Error: cannot write to standard output")
     assert len(forks) == 2
     _assert_reaped(forks)
@@ -391,7 +439,7 @@ def test_workers_fall_back_to_one_without_fork(monkeypatch):
 def _traced_fairness_peak(grid, path) -> int:
     tracemalloc.start()
     try:
-        cli.main(["fairness", "--grid", str(grid), "--out", str(path)], standalone_mode=False)
+        main(["fairness", "--grid", str(grid), "--out", str(path)], standalone_mode=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -399,7 +447,7 @@ def _traced_fairness_peak(grid, path) -> int:
 
 def test_fairness_memory_does_not_grow_with_grid(tmp_path):
     path = tmp_path / "table.csv"
-    cli.main(["fairness", "--grid", "10", "--out", str(path)], standalone_mode=False)
+    main(["fairness", "--grid", "10", "--out", str(path)], standalone_mode=False)
     small = _traced_fairness_peak(5000, path)
     large = _traced_fairness_peak(50000, path)
     assert path.read_text().count("\n") == 50001
@@ -629,8 +677,8 @@ def test_clt_wide_output_digest():
 def _traced_clt_peak(samples) -> int:
     tracemalloc.start()
     try:
-        cli.main(["clt", "--n", "10000000", "--p", "0.5", "--samples", str(samples),
-                  "--out", os.devnull], standalone_mode=False)
+        main(["clt", "--n", "10000000", "--p", "0.5", "--samples", str(samples),
+              "--out", os.devnull], standalone_mode=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -638,8 +686,8 @@ def _traced_clt_peak(samples) -> int:
 
 def test_clt_memory_does_not_grow_with_samples():
     # loads numpy outside the trace
-    cli.main(["clt", "--n", "100", "--p", "0.5", "--samples", "10", "--out", os.devnull],
-             standalone_mode=False)
+    main(["clt", "--n", "100", "--p", "0.5", "--samples", "10", "--out", os.devnull],
+         standalone_mode=False)
     small = _traced_clt_peak(2**16)
     large = _traced_clt_peak(2**22)
     assert abs(large - small) < 2**20, (small, large)
@@ -658,9 +706,9 @@ def test_clt_peak_rss_at_the_sample_limit():
     """The child's own high-water RSS, read by the child at exit."""
     code = (
         "import os, sys\n"
-        "from maxdiv.cli import cli\n"
-        "cli.main(['clt', '--n', '10000000', '--p', '0.5', '--samples', sys.argv[1],\n"
-        "          '--seed', '1', '--out', os.devnull], standalone_mode=False)\n"
+        "from maxdiv.cli import main\n"
+        "main(['clt', '--n', '10000000', '--p', '0.5', '--samples', sys.argv[1],\n"
+        "      '--seed', '1', '--out', os.devnull], standalone_mode=False)\n"
         "with open('/proc/self/status') as handle:\n"
         "    print(next(line.split()[1] for line in handle if line.startswith('VmHWM:')))\n"
     )
@@ -671,7 +719,7 @@ def test_clt_peak_rss_at_the_sample_limit():
 
 def _single_error_line(res) -> bool:
     """A clean refusal: non-zero exit, one Error: line, no traceback (an
-    exception out of cli.main propagates out of invoke)."""
+    exception out of main propagates out of invoke)."""
     errors = [line for line in res.stderr.splitlines() if line.startswith("Error:")]
     return res.exit_code != 0 and len(errors) == 1 and "Traceback" not in res.stderr
 
@@ -813,8 +861,8 @@ def test_subcommands_other_than_clt_load_no_numpy(argv):
         unused.add("maxdiv.geometry")
     code = (
         "import sys\n"
-        "from maxdiv.cli import cli\n"
-        f"cli.main({argv!r}, standalone_mode=False)\n"
+        "from maxdiv.cli import main\n"
+        f"main({argv!r}, standalone_mode=False)\n"
         f"print(sorted(set({sorted(unused)!r}) & set(sys.modules)), file=sys.stderr)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
@@ -838,14 +886,14 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
 
 def _fresh_clt(runs: list, before: str = "", after: str = "", env: dict | None = None):
     """Standard output and standard error, as bytes, of a fresh interpreter
-    that runs the code before, then `clt ARGS` through cli.main for each
+    that runs the code before, then `clt ARGS` through main for each
     ARGS in runs, then the code after.  pytest has loaded hashlib already,
     so only a fresh interpreter shows what a clt run imports."""
     code = "\n".join([
         "import os, sys", before,
-        "from maxdiv.cli import cli",
+        "from maxdiv.cli import main",
         f"for args in {runs!r}:",
-        "    assert cli.main(['clt', *args], standalone_mode=False) == 0",
+        "    assert main(['clt', *args], standalone_mode=False) == 0",
         after,
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
