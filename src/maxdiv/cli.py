@@ -14,9 +14,12 @@ with "params", "results" and "warnings" entries whose field names match
 the CSV headers.  Output is byte-identical across runs for fixed inputs.
 
 The options of each subcommand are one table in COMMANDS, read by a
-small parser on the standard library alone; ``--help`` prints them.  The
-exit status is 0 for success, 1 for a failed run and 2 for a usage
-error, and each failure writes one "Error:" line to standard error.
+small parser on the standard library alone; an option with no default
+is required, and ``--help`` prints them.  The exit status is 0 for
+success, 1 for a failed run and 2 for a usage error, and each failure
+writes one "Error:" line to standard error.  main alone writes it: a
+subcommand raises CliError, and a ValueError that an analysis module
+raises is reported as it is, with status 1.
 Results go out through _write, diagnostics through _say.  A diagnostic
 that cannot be written never changes the status of an error, and a
 success whose fairness summary cannot be written ends with status 1.
@@ -68,7 +71,7 @@ MAX_GRID = 10**7
 CHUNK_ROWS = 2048
 
 
-class CliError(Exception):
+class CliError(ValueError):
     """A refused run: one "Error:" line on standard error and exit status
     1, or 2 for a usage error."""
 
@@ -347,17 +350,12 @@ def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -
     """
     from maxdiv import fairness as fairness_mod
 
-    try:
-        sd_min = fairness_mod.minimize_sd()
-        mad_global, mad_local = fairness_mod.minimize_mad(tol)
-        maximin = fairness_mod.maximize_min_piece(tol)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    mad_global, mad_local = fairness_mod.minimize_mad(tol)
     summary = {
-        "sd_min": _optimum_entry(sd_min, precision),
+        "sd_min": _optimum_entry(fairness_mod.minimize_sd(), precision),
         "mad_global": _optimum_entry(mad_global, precision),
         "mad_locals": [_optimum_entry(mad_local, precision)],
-        "maximin": _optimum_entry(maximin, precision),
+        "maximin": _optimum_entry(fairness_mod.maximize_min_piece(tol), precision),
     }
     params = {"grid": grid, "tol": tol, "precision": precision}
     _write(_render(FAIRNESS_HEADER, grid,
@@ -378,22 +376,21 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     }[method]
     try:
         bundle = route(moments_mod.CutModel(n, p, dim))
-    except ValueError as exc:  # a bad p, or a route that cannot take this model
-        raise CliError(str(exc))
     except OverflowError as exc:
         raise CliError(f"at --n {n} --p {p} --dim {dim}, the {method} route overflows: {exc}")
-    for name in ("mean", "variance", "second_moment"):
-        value = getattr(bundle, name)
-        if value is not None and not math.isfinite(value):
-            raise CliError(
-                f"the {method} route's {name} is {value}, not a finite number,"
-                f" at --n {n} --p {p} --dim {dim}"
-            )
+    _require_finite(bundle._asdict(), f"the {method} route's ", f"--n {n} --p {p} --dim {dim}")
     window = math.sqrt(bundle.variance)
     row = (n, p, dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)
     params = {"n": n, "p": p, "dim": dim, "method": method, "precision": precision}
     _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
+
+
+def _require_finite(cells: dict, owner: str, where: str) -> None:
+    """Refuse the first float cell that is inf or nan, by its name."""
+    for name, value in cells.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise CliError(f"{owner}{name} is {value}, not a finite number, at {where}")
 
 
 def _leave_openssl_unloaded() -> None:
@@ -423,21 +420,16 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     _leave_openssl_unloaded()
     from maxdiv import clt as clt_mod
 
-    try:
-        terms = clt_mod.rinott_terms(n, p)
-        check = clt_mod.threshold_check(n, p)
-        normality = clt_mod.sample_normality(n, p, samples, seed)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    terms = clt_mod.rinott_terms(n, p)
+    check = clt_mod.threshold_check(n, p)
+    normality = clt_mod.sample_normality(n, p, samples, seed)
     row = (
         n, p, samples, seed,
         terms.term1, terms.term2, terms.term3, terms.max_term,
         check.margin, check.in_clt_regime,
         normality.ks_distance, normality.mean, normality.sigma,
     )
-    for name, value in zip(CLT_HEADER, row):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise CliError(f"{name} is {value}, not a finite number, at --n {n} --p {p}")
+    _require_finite(dict(zip(CLT_HEADER, row)), "", f"--n {n} --p {p}")
     params = {"n": n, "p": p, "samples": samples, "seed": seed, "precision": precision}
     _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
 
@@ -504,34 +496,35 @@ def _choice(*choices: str):
     return convert
 
 
-# Each subcommand's options: name -> (converter, default, required, help).
-# A converter raises ValueError for a value it refuses; str takes any text.
-_OUTPUT = {"--format": (_choice("csv", "json"), "csv", False, "Output format."),
-           "--out": (str, "-", False, "Output path, or - for standard output.")}
-_PRECISION = {"--precision": (_number(int, 1, 17), 10, False, "Decimal digits for numeric output.")}
+# Each subcommand's options: name -> (converter, default, help).  An option
+# whose default is None is required.  A converter raises ValueError for a
+# value it refuses; str takes any text.
+_OUTPUT = {"--format": (_choice("csv", "json"), "csv", "Output format."),
+           "--out": (str, "-", "Output path, or - for standard output.")}
+_PRECISION = {"--precision": (_number(int, 1, 17), 10, "Decimal digits for numeric output.")}
 COMMANDS = {
     "fairness": (cmd_fairness, {
-        "--grid": (_number(int, 2, MAX_GRID), 1000, False,
+        "--grid": (_number(int, 2, MAX_GRID), 1000,
                    "Number of uniformly spaced arc lengths to tabulate."),
-        "--tol": (_number(float), 1e-10, False, "Optimizer tolerance on the arc length."),
+        "--tol": (_number(float), 1e-10, "Optimizer tolerance on the arc length."),
         **_OUTPUT, **_PRECISION}),
     "moments": (cmd_moments, {
-        "--n": (_number(int, 1), None, True, "Number of attempted cuts."),
-        "--p": (_number(float, 0.0, 1.0), None, True, "Probability each cut succeeds."),
-        "--dim": (_number(int, 1), 2, False, "Ambient dimension."),
-        "--method": (_choice("exact", "closed", "asymptotic"), "exact", False, "Computation route."),
+        "--n": (_number(int, 1), None, "Number of attempted cuts."),
+        "--p": (_number(float, 0.0, 1.0), None, "Probability each cut succeeds."),
+        "--dim": (_number(int, 1), 2, "Ambient dimension."),
+        "--method": (_choice("exact", "closed", "asymptotic"), "exact", "Computation route."),
         **_OUTPUT, **_PRECISION}),
     "clt": (cmd_clt, {
-        "--n": (_number(int, 2, MAX_CUTS), None, True, "Number of attempted cuts."),
-        "--p": (_number(float), None, True,
+        "--n": (_number(int, 2, MAX_CUTS), None, "Number of attempted cuts."),
+        "--p": (_number(float), None,
                 "Probability each cut succeeds; must be strictly inside (0, 1)."),
-        "--samples": (_number(int, 1, MAX_SAMPLES), 10**5, False,
+        "--samples": (_number(int, 1, MAX_SAMPLES), 10**5,
                       "Monte Carlo sample count for the KS experiment."),
-        "--seed": (_number(int, 0, MAX_SEED), 1, False, "Stream seed."),
+        "--seed": (_number(int, 0, MAX_SEED), 1, "Stream seed."),
         **_OUTPUT, **_PRECISION}),
     "oracle": (cmd_oracle, {
-        "--n": (_number(int, 1, 10), None, True, "Chords per arrangement (at most 10)."),
-        "--seeds": (str, "0,1,2,3,4", False, "Comma-separated seeds, one arrangement each."),
+        "--n": (_number(int, 1, 10), None, "Chords per arrangement (at most 10)."),
+        "--seeds": (str, "0,1,2,3,4", "Comma-separated seeds, one arrangement each."),
         **_OUTPUT}),
 }
 
@@ -547,8 +540,8 @@ def _help(command: str | None) -> str:
     lines += [f"  {line.strip()}".rstrip() for line in run.__doc__.strip().splitlines()]
     return "\n".join([*lines, "", "Options:", "  --help  Show this message and exit."] + [
         f"  {name} {getattr(convert, 'metavar', 'TEXT')}  {text}"
-        f"  [{'required' if required else f'default: {default}'}]"
-        for name, (convert, default, required, text) in options.items()])
+        f"  [{'required' if default is None else f'default: {default}'}]"
+        for name, (convert, default, text) in options.items()])
 
 
 def _parse(options: dict, args: list[str]) -> dict | None:
@@ -569,8 +562,8 @@ def _parse(options: dict, args: list[str]) -> dict | None:
         if given[name] is None:
             raise CliError(f"Option '{name}' requires an argument.", 2)
     values = {}
-    for name, (convert, default, required, _) in options.items():
-        if required and name not in given:
+    for name, (convert, default, _) in options.items():
+        if default is None and name not in given:
             raise CliError(f"Missing option '{name}'.", 2)
         try:
             values[name[2:]] = convert(given[name]) if name in given else default
@@ -593,10 +586,10 @@ def main(argv=None, standalone_mode: bool = True) -> int:
         if values is None:  # through _write, so a failed write is one Error: line
             _write((text.encode() for text in [_help(command) + "\n"]), "-")
         status = 0 if values is None else COMMANDS[command][0](**values) or 0
-    except CliError as exc:
-        usage = _help(command).split("\n")[0] + "\n" if exc.status == 2 else ""
+    except ValueError as exc:  # a CliError, or a refusal from an analysis module
+        status = exc.status if isinstance(exc, CliError) else 1
+        usage = _help(command).split("\n")[0] + "\n" if status == 2 else ""
         _say(f"{usage}Error: {exc}")
-        status = exc.status
     except KeyboardInterrupt:
         _say("Aborted!")
         status = 1
@@ -625,6 +618,3 @@ def _exit_flushed(status: int) -> None:
 
 
 cli = SimpleNamespace(main=main)  # only perfbench/worker.py calls it; ROADMAP item 1 deletes it
-
-if __name__ == "__main__":
-    main()

@@ -19,7 +19,8 @@ from maxdiv import moments as moments_module
 from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, main
 from maxdiv.clt import MAX_CUTS
 from maxdiv.fairness import _grid, _measures
-from maxdiv.moments import RegionMoments
+from maxdiv.geometry import DegenerateConfigurationError
+from maxdiv.moments import RegionMoments, UnsupportedDimensionError
 
 # Some tests fork this process, which may hold the OpenBLAS threads that
 # numpy started for other test modules, and Python 3.12 warns about that.
@@ -129,12 +130,20 @@ def _assert_reference(name, proc):
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
 @pytest.mark.parametrize("name, argv", sorted(_readme_commands().items()))
-def test_readme_commands_match_the_recorded_references(name, argv):
-    """The README commands print exactly perfbench/refs/NAME.out and .err."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "maxdiv", *argv], capture_output=True, timeout=60,
-    )
+def test_readme_commands_match_the_recorded_references(name, argv, stdout, tmp_path):
+    """The README commands print exactly perfbench/refs/NAME.out and .err,
+    to a pipe and, block-buffered, to a regular file."""
+    argv = [sys.executable, "-m", "maxdiv", *argv]
+    if stdout == "pipe":
+        proc = subprocess.run(argv, capture_output=True, timeout=60)
+    else:
+        with open(tmp_path / "stdout", "w+b") as target:
+            proc = subprocess.run(argv, stdout=target, stderr=subprocess.PIPE, env=_environ(),
+                                  timeout=60)
+            target.seek(0)
+            proc.stdout = target.read()
     _assert_reference(name, proc)
 
 
@@ -1062,6 +1071,45 @@ def test_help_names_every_option_and_exits_0(command, options):
         assert [line.split()[0] for line in res.stdout.splitlines() if line.startswith("  --")] == [
             "--help", *options]
     assert command in invoke("--help").stdout
+
+
+# sha256 of `maxdiv --help` and of each `maxdiv COMMAND --help`, recorded
+# when each option table entry still carried its own required flag
+_HELP_SHA256 = {
+    ("--help",): "cdcaebcde3e1cbd80f9aad8cbc1ab0a60d4dbb31eed2b36dd3d048c4944d0ae3",
+    ("fairness", "--help"): "2a0328b39cce4adf9f367a399a6c6c681b8e1fc958e03530a19a3cd245263bc2",
+    ("moments", "--help"): "6306f22b13d29da31108b09ba5ae45dd48c3a6456c071cca31022e881410ed2f",
+    ("clt", "--help"): "bfcfbbce995c4b7671aa551accaeccae27f9eb7e8a874ed8cf693a1bb574a91a",
+    ("oracle", "--help"): "9f239d0ac508412966f82f69782f5b68e76cdf19ae37f2a646a7a027afec7e56",
+}
+
+
+@pytest.mark.parametrize("argv, sha256", _HELP_SHA256.items())
+def test_help_pages_keep_their_bytes(argv, sha256):
+    res = invoke(*argv)
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == sha256
+
+
+class _Refusal(ValueError):
+    """A refused input, as an analysis module raises it."""
+
+
+@pytest.mark.parametrize("target, error, argv", [
+    ("maxdiv.fairness.minimize_mad", _Refusal, ["fairness", "--grid", "4"]),
+    ("maxdiv.moments.moments_closed_form", UnsupportedDimensionError,
+     ["moments", "--n", "5", "--p", "0.5", "--method", "closed"]),
+    ("maxdiv.clt.sample_normality", _Refusal, ["clt", "--n", "100", "--p", "0.5", "--samples", "9"]),
+    ("maxdiv.geometry.count_regions_geometric", DegenerateConfigurationError,
+     ["oracle", "--n", "3", "--seeds", "0"]),
+], ids=["fairness", "moments", "clt", "oracle"])
+def test_a_library_refusal_from_any_command_is_one_error_line(monkeypatch, target, error, argv):
+    def refuse(*args, **kwargs):
+        raise error("this input is refused")
+
+    monkeypatch.setattr(target, refuse)
+    res = invoke(*argv)
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "Error: this input is refused\n")
 
 
 def test_oracle_rejects_bad_seeds():
