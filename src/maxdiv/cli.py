@@ -9,9 +9,10 @@ Four subcommands cover the analyses end to end:
 
 Every subcommand takes ``--format csv|json`` and ``--out PATH``, and all
 but ``oracle`` take ``--precision K``.  CSV uses '.' decimals, ','
-separators, one header row and LF line endings; JSON is a single object
-with "params", "results" and "warnings" entries whose field names match
-the CSV headers.  Output is byte-identical across runs for fixed inputs.
+separators, one header row and LF line endings; JSON is the object with
+"params", "results" and "warnings" entries that json.dumps(indent=2) lays
+out, its results fields named as the CSV headers.  Both stream the rows
+in chunks.  Output is byte-identical across runs for fixed inputs.
 
 The options of each subcommand are one table in COMMANDS, read by a
 small parser on the standard library alone; an option with no default
@@ -59,6 +60,8 @@ CLT_HEADER = (
     "margin", "in_clt_regime", "ks_distance", "mean", "sigma",
 )
 ORACLE_HEADER = ("n", "seed", "geometric", "formula", "result")
+#: The fields of each fairness optimum, in the order both outputs show them.
+_OPTIMUM_KEYS = ("x_star", "objective", "at_boundary", "alpha1", "alpha2", "alpha3")
 
 #: Most grid points ``fairness`` tabulates.  The table takes about 2.2 s
 #: per 10^6 rows on two CPUs of a 2-vCPU x86-64 VM and 2.7 s on one, in a
@@ -105,13 +108,6 @@ def _json_cell(value, precision: int):
     if isinstance(value, float):
         return round(value, precision)
     return value
-
-
-def _json_member(key: str, value) -> str:
-    """One top-level entry as json.dumps(payload, indent=2) lays it out."""
-    import json
-
-    return json.dumps({key: value}, indent=2)[2:-2]
 
 
 def _workers() -> int:
@@ -217,7 +213,7 @@ def _receive(reader, start: int, count: int) -> bytes:
     )
 
 
-def _render(header, count, cells, params, warnings, fmt, precision, summary=None):
+def _render(header, count, cells, params, fmt, precision, summary=None):
     """Yield the output bytes of a table of count rows, chunk by chunk.
 
     cells(start, stop) gives rows start..stop-1 as one flat sequence of
@@ -225,7 +221,8 @@ def _render(header, count, cells, params, warnings, fmt, precision, summary=None
     and formatted in one piece by _map_chunks, so memory does not grow
     with the table.  Every row must have the cell types of the first,
     which fix the CSV template.  The JSON chunks join up to exactly
-    json.dumps(payload, indent=2) + "\n", UTF-8 encoded.
+    json.dumps(payload, indent=2) + "\n", UTF-8 encoded: that call lays
+    out the object with an empty "results" list, and the rows go in its place.
     """
     width = len(header)
     if fmt == "csv":
@@ -242,8 +239,14 @@ def _render(header, count, cells, params, warnings, fmt, precision, summary=None
         return
     import json
 
-    params = {k: _json_cell(v, precision) for k, v in params.items()}
-    yield ("{\n" + _json_member("params", params) + ',\n  "results": [').encode()
+    payload = {"params": {k: _json_cell(v, precision) for k, v in params.items()},
+               "results": [], "warnings": []}
+    if summary is not None:
+        payload["summary"] = summary
+    # the top-level member: a nested one is indented further, and json
+    # escapes every quote and newline inside a string
+    head, _, tail = json.dumps(payload, indent=2).partition('\n  "results": []')
+    yield (head + '\n  "results": [').encode()
     members = ",\n".join(f"      {json.dumps(k)}: %s" for k in header)
     spec = ("\n    {\n" + members + "\n    }").encode()
 
@@ -258,10 +261,7 @@ def _render(header, count, cells, params, warnings, fmt, precision, summary=None
     for data in _map_chunks(build, count):
         yield separator + data
         separator = b","
-    tail = ["\n  ]" if separator else "]", _json_member("warnings", list(warnings))]
-    if summary is not None:
-        tail.append(_json_member("summary", summary))
-    yield (",\n".join(tail) + "\n}\n").encode()
+    yield (("\n  ]" if separator else "]") + tail + "\n").encode()
 
 
 def _say(text: str) -> bool:
@@ -314,15 +314,8 @@ def _write(chunks, out: str) -> None:
 def _optimum_entry(opt, precision: int) -> dict:
     from maxdiv.fairness import _areas
 
-    alpha1, alpha2, alpha3 = _areas(opt.x_star)
-    return {
-        "x_star": round(opt.x_star, precision),
-        "objective": round(opt.objective_value, precision),
-        "at_boundary": opt.at_boundary,
-        "alpha1": round(alpha1, precision),
-        "alpha2": round(alpha2, precision),
-        "alpha3": round(alpha3, precision),
-    }
+    values = (opt.x_star, opt.objective_value, opt.at_boundary, *_areas(opt.x_star))
+    return {key: _json_cell(value, precision) for key, value in zip(_OPTIMUM_KEYS, values)}
 
 
 def _summary_lines(summary: dict, precision: int) -> list[str]:
@@ -332,7 +325,7 @@ def _summary_lines(summary: dict, precision: int) -> list[str]:
     flat.append(("maximin", summary["maximin"]))
     for name, entry in flat:
         parts = [f"{name}:"]
-        for key in ("x_star", "objective", "at_boundary", "alpha1", "alpha2", "alpha3"):
+        for key in _OPTIMUM_KEYS:
             value = entry[key]
             if isinstance(value, bool):
                 parts.append(f"{key}={'true' if value else 'false'}")
@@ -360,7 +353,7 @@ def cmd_fairness(grid: int, tol: float, format: str, out: str, precision: int) -
     params = {"grid": grid, "tol": tol, "precision": precision}
     _write(_render(FAIRNESS_HEADER, grid,
                    lambda lo, hi: fairness_mod._measures(fairness_mod._grid(grid, lo, hi)),
-                   params, [], format, precision, summary=summary if format == "json" else None), out)
+                   params, format, precision, summary=summary if format == "json" else None), out)
     return 0 if format == "json" or _say("\n".join(_summary_lines(summary, precision))) else 1
 
 
@@ -383,7 +376,7 @@ def cmd_moments(n: int, p: float, dim: int, method: str,
     row = (n, p, dim, bundle.method, bundle.mean, bundle.variance,
            bundle.second_moment, bundle.mean, window)
     params = {"n": n, "p": p, "dim": dim, "method": method, "precision": precision}
-    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
+    _write(_render(MOMENTS_HEADER, 1, lambda start, stop: row, params, format, precision), out)
 
 
 def _require_finite(cells: dict, owner: str, where: str) -> None:
@@ -431,7 +424,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     )
     _require_finite(dict(zip(CLT_HEADER, row)), "", f"--n {n} --p {p}")
     params = {"n": n, "p": p, "samples": samples, "seed": seed, "precision": precision}
-    _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, [], format, precision), out)
+    _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, format, precision), out)
 
 
 def cmd_oracle(n: int, seeds: str, format: str, out: str) -> int:
@@ -452,17 +445,14 @@ def cmd_oracle(n: int, seeds: str, format: str, out: str) -> int:
     cells = []
     all_pass = True
     for seed in seed_list:
-        try:
-            counted = geometry.count_regions_geometric(geometry.random_chord_set(n, seed))
-        except geometry.RetryBudgetError as exc:
-            raise CliError(str(exc))
+        counted = geometry.count_regions_geometric(geometry.random_chord_set(n, seed))
         ok = counted == expected
         all_pass &= ok
         cells += (n, seed, counted, expected, "pass" if ok else "fail")
     params = {"n": n, "seeds": seed_list}
     width = len(ORACLE_HEADER)
     _write(_render(ORACLE_HEADER, len(seed_list),
-                   lambda start, stop: cells[start * width:stop * width], params, [],
+                   lambda start, stop: cells[start * width:stop * width], params,
                    format, precision=None), out)
     return 0 if all_pass else 1
 

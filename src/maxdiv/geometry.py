@@ -30,8 +30,8 @@ class DegenerateConfigurationError(ValueError):
     """The chords are not a maximal arrangement in general position."""
 
 
-class RetryBudgetError(RuntimeError):
-    """Rejection sampling failed to produce a valid arrangement."""
+class RetryBudgetError(ValueError):
+    """A refusal of (n, seed): rejection sampling spent its retry budget."""
 
 
 def max_regions(n: int, d: int) -> int:

@@ -19,7 +19,7 @@ from maxdiv import moments as moments_module
 from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, main
 from maxdiv.clt import MAX_CUTS
 from maxdiv.fairness import _grid, _measures
-from maxdiv.geometry import DegenerateConfigurationError
+from maxdiv.geometry import DegenerateConfigurationError, RetryBudgetError
 from maxdiv.moments import RegionMoments, UnsupportedDimensionError
 
 # Some tests fork this process, which may hold the OpenBLAS threads that
@@ -307,18 +307,22 @@ def test_fairness_json_stream_matches_json_dumps(grid):
     [(2, 'q"%s,', False, None, math.inf), (3, "\\", True, 7, -math.inf), (4, "", False, None, math.nan)],
 ])
 def test_json_render_matches_json_dumps_for_any_cells(rows):
+    """The rows go in place of the top-level "results" member, whatever
+    text params and summary hold around it."""
     header = ("i", "text", "flag", "maybe", "value")
-    params = {"n": 3, "seeds": [0, 1], "p": 0.123456789}
+    text = '"results": [] ends, a quote " and a backslash \\ and\n  "results": []'
+    params = {"n": 3, "seeds": [0, 1], "p": 0.123456789, "text": text}
+    summary = {"k": [1.5], "results": [], "nested": {"results": [text]}}
     data = b"".join(cli_module._render(header, len(rows), _flat(rows), params,
-                                       ["w"], "json", 4, summary={"k": [1.5]}))
+                                       "json", 4, summary=summary))
     payload = {
-        "params": {"n": 3, "seeds": [0, 1], "p": 0.1235},
+        "params": {"n": 3, "seeds": [0, 1], "p": 0.1235, "text": text},
         "results": [
             {key: round(v, 4) if isinstance(v, float) else v for key, v in zip(header, row)}
             for row in rows
         ],
-        "warnings": ["w"],
-        "summary": {"k": [1.5]},
+        "warnings": [],
+        "summary": summary,
     }
     assert data == (json.dumps(payload, indent=2) + "\n").encode()
 
@@ -326,7 +330,7 @@ def test_json_render_matches_json_dumps_for_any_cells(rows):
 def test_csv_render_maps_bool_and_none_cells():
     rows = [(1, True, None, 0.25, "pass", False, "\u00e9")] * (CHUNK_ROWS + 2)
     chunks = list(cli_module._render(("a", "b", "c", "d", "e", "f", "g"), len(rows), _flat(rows),
-                                     {}, [], "csv", 3))
+                                     {}, "csv", 3))
     assert len(chunks) == 3  # the header, one full chunk, one short chunk
     assert b"".join(chunks) == (
         b"a,b,c,d,e,f,g\n" + b"1,true,,0.250,pass,false,\xc3\xa9\n" * (CHUNK_ROWS + 2)
@@ -1102,7 +1106,8 @@ class _Refusal(ValueError):
     ("maxdiv.clt.sample_normality", _Refusal, ["clt", "--n", "100", "--p", "0.5", "--samples", "9"]),
     ("maxdiv.geometry.count_regions_geometric", DegenerateConfigurationError,
      ["oracle", "--n", "3", "--seeds", "0"]),
-], ids=["fairness", "moments", "clt", "oracle"])
+    ("maxdiv.geometry.random_chord_set", RetryBudgetError, ["oracle", "--n", "3", "--seeds", "0"]),
+], ids=["fairness", "moments", "clt", "oracle", "oracle-retry-budget"])
 def test_a_library_refusal_from_any_command_is_one_error_line(monkeypatch, target, error, argv):
     def refuse(*args, **kwargs):
         raise error("this input is refused")
