@@ -214,7 +214,7 @@ def _receive(reader, start: int, count: int) -> bytes:
 
 
 def _render(header, count, cells, params, fmt, precision, summary=None):
-    """Yield the output bytes of a table of count rows, chunk by chunk.
+    """Yield the output bytes of a table of count >= 1 rows, chunk by chunk.
 
     cells(start, stop) gives rows start..stop-1 as one flat sequence of
     len(header) cells per row; each chunk of CHUNK_ROWS rows is computed
@@ -261,7 +261,7 @@ def _render(header, count, cells, params, fmt, precision, summary=None):
     for data in _map_chunks(build, count):
         yield separator + data
         separator = b","
-    yield (("\n  ]" if separator else "]") + tail + "\n").encode()
+    yield ("\n  ]" + tail + "\n").encode()
 
 
 def _say(text: str) -> bool:

@@ -171,7 +171,7 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     import numpy as np
 
     lo, hi = _binomial_window(n, p)
-    mode = min(max(math.floor((n + 1) * p), lo), hi)
+    mode = math.floor((n + 1) * p)  # within 1 of np, so inside the window
     log_odds = math.log(p) - math.log1p(-p)
     cdf = np.zeros(hi - lo + 1)
     up, down = cdf[mode - lo + 1:], cdf[:mode - lo]

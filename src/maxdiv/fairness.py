@@ -155,8 +155,8 @@ def min_piece(x: float) -> float:
 def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     """Minimize a unimodal f on [lo, hi] to within tol in x.
 
-    Also stops once an interior point reaches an end of the bracket:
-    the bracket is then at float spacing and cannot shrink further.
+    Also stops once an interior point reaches or passes an end of the
+    bracket, which is then at float spacing; that point's value is unread.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
@@ -165,11 +165,11 @@ def _golden_section(f, lo: float, hi: float, tol: float) -> float:
     while b - a > tol and a < c and d < b:
         if fc < fd:
             b, d, fd = d, c, fc
-            c = max(a, b - _INV_PHI * (b - a))
+            c = b - _INV_PHI * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = min(b, a + _INV_PHI * (b - a))
+            d = a + _INV_PHI * (b - a)
             fd = f(d)
     return (a + b) / 2
 

@@ -161,14 +161,18 @@ def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fract
         raise TypeError("p must be a Fraction for the rational route")
     if not 0 <= p <= 1:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    # weight x is C(n, x) a^x (b - a)^(n - x) / b^n: integer sums, one division
     a, b = p.numerator, p.denominator
-    mean = second = 0
+    if a == b:  # p = 1: all the mass sits at x = n
+        r = Fraction(max_regions(n, d))
+        return r, r * r, Fraction(0)
+    # weight x is C(n, x) a^x (b - a)^(n - x) / b^n: integer sums, one division;
+    # weight x + 1 is weight x times (n - x) a / ((x + 1)(b - a)), exactly
+    weight, mean, second = (b - a) ** n, 0, 0
     for x in range(n + 1):
         r = max_regions(x, d)
-        weight = math.comb(n, x) * a**x * (b - a) ** (n - x)
         mean += weight * r
         second += weight * r * r
+        weight = weight * (n - x) * a // ((x + 1) * (b - a))
     mean, second = Fraction(mean, b**n), Fraction(second, b**n)
     return mean, second, second - mean * mean
 

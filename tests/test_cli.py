@@ -302,7 +302,6 @@ def test_fairness_json_stream_matches_json_dumps(grid):
 
 
 @pytest.mark.parametrize("rows", [
-    [],
     [(1, "a\nb", True, None, 0.5)],
     [(2, 'q"%s,', False, None, math.inf), (3, "\\", True, 7, -math.inf), (4, "", False, None, math.nan)],
 ])
@@ -716,12 +715,13 @@ def _has_vmhwm() -> bool:
 
 @pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
 def test_clt_peak_rss_at_the_sample_limit():
-    """The child's own high-water RSS, read by the child at exit."""
+    """The child's own high-water RSS, read by the child at exit, after a
+    run that succeeds."""
     code = (
         "import os, sys\n"
         "from maxdiv.cli import main\n"
-        "main(['clt', '--n', '10000000', '--p', '0.5', '--samples', sys.argv[1],\n"
-        "      '--seed', '1', '--out', os.devnull], standalone_mode=False)\n"
+        "assert main(['clt', '--n', '10000000', '--p', '0.5', '--samples', sys.argv[1],\n"
+        "             '--seed', '1', '--out', os.devnull], standalone_mode=False) == 0\n"
         "with open('/proc/self/status') as handle:\n"
         "    print(next(line.split()[1] for line in handle if line.startswith('VmHWM:')))\n"
     )

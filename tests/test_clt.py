@@ -151,6 +151,13 @@ def test_threshold_monotone_in_n():
     assert all(a < b for a, b in zip(margins, margins[1:]))
 
 
+def test_threshold_needs_a_positive_cut_count():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="cut count must be positive"):
+            threshold_check(n, 0.5)
+    assert threshold_check(1, 0.5).margin == pytest.approx(0.5 ** (4 / 3), rel=1e-12)
+
+
 def test_threshold_rejects_degenerate():
     with pytest.raises(ValueError):
         threshold_check(100, 1.0)

@@ -8,6 +8,7 @@ from maxdiv.geometry import (
     Chord,
     DegenerateConfigurationError,
     InvalidChordError,
+    RetryBudgetError,
     count_regions_geometric,
     max_regions,
     random_chord_set,
@@ -203,6 +204,14 @@ def test_random_chord_set_rejects_bad_n():
         random_chord_set(0, 1)
 
 
+def test_random_chord_set_refuses_once_its_retry_budget_is_spent():
+    # at n = 16, no candidate in the budget of any of these seeds keeps
+    # every crossing inside the disk and apart
+    for seed in range(5):
+        with pytest.raises(RetryBudgetError, match=f"within {geometry.RETRY_BUDGET} attempts"):
+            random_chord_set(16, seed)
+
+
 def test_validate_rejects_parallel():
     cs = (Chord(0.5, 0.0), Chord(0.5, 0.1))
     with pytest.raises(DegenerateConfigurationError):
@@ -221,6 +230,21 @@ def test_validate_rejects_exterior_crossing():
     cs = (Chord(0.5, 0.1), Chord(0.5 + 1e-3, -0.1))
     with pytest.raises(DegenerateConfigurationError):
         validate_chord_set(cs)
+
+
+def test_validate_rejects_coinciding_endpoints():
+    # two diameters 1e-10 apart cross at the centre, so only the endpoint
+    # check can refuse them
+    cs = (Chord(math.pi / 2, 0.0), Chord(math.pi / 2 + 1e-10, 0.0))
+    with pytest.raises(DegenerateConfigurationError, match="endpoints coincide"):
+        validate_chord_set(cs)
+
+
+def test_chords_at_a_small_angle_still_cross():
+    # 1e-6 apart: far from parallel at the 1e-12 threshold, and their
+    # endpoints clear GENERAL_POSITION_TOL
+    cs = (Chord(math.pi / 2, 0.0), Chord(math.pi / 2 + 1e-6, 0.0))
+    assert count_regions_geometric(cs) == 4
 
 
 def test_validate_rejects_line_missing_disk():
