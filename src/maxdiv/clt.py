@@ -22,7 +22,7 @@ outcomes a draw can reach (25 045 of 123 545 at n = 10^7, p = 1/2) and
 frees the window before the first draw.  They are drawn in chunks of
 CHUNK_DRAWS, and the KS run keeps only how often each kept outcome was
 drawn, so it costs O(sqrt(n) + m) time and O(sqrt(n)) memory for m
-samples: a traced peak of 2.4 MiB at n = 10^7 and 25 MiB at MAX_CUTS.
+samples: a traced peak of 1.4 MiB at n = 10^7 and 25 MiB at MAX_CUTS.
 
 numpy is imported on first use, so importing this module, and with it
 the command line, does not load numpy.
@@ -41,8 +41,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Uniforms drawn and inverted at a time; bounds the sampler's working
-#: memory at about 0.4 MiB whatever the sample count.
+#: memory at about 0.5 MiB whatever the sample count.
 CHUNK_DRAWS = 1 << 14
+
+#: Values whose normal CDF _ks evaluates at a time: a batch's z list and
+#: its erfc list are small beside the arrays alive in the KS run.
+_KS_BATCH = 1 << 10
 
 # Hoeffding: P(|X - np| >= t) <= 2 exp(-2 t^2 / n), which is below
 # 2^-1100 once t > sqrt(1101 ln(2) / 2) * sqrt(n).
@@ -122,8 +126,9 @@ def _refuse_overflow(fn):
 def rinott_terms(n: int, p: float) -> RinottTerms:
     """Stein/Rinott error terms for n cuts kept with probability p.
 
-    All three decay like n^{-1/2} at fixed p; the first dominates for
-    p <= 1/2.
+    All three decay like n^{-1/2} at fixed p, and term1 > term2 > term3
+    for every n and p answered: term2 / term1 = term3 / term2 =
+    sigma / sqrt(N * D), and sigma^2 <= n^3 / 4 < N * D = 4n(n^2 + 1).
     """
     if n < 2:
         raise ValueError(f"need at least two cuts, got {n}")
@@ -167,6 +172,13 @@ def _binomial_cdf(n: int, p: float) -> tuple[int, np.ndarray]:
     outward from the mode in each direction.  Normalizing by the
     window's sum makes the absolute constant log f(mode) unnecessary.
     All steps run in place, beside at most one half-window temporary.
+
+    Every log and exp reads a contiguous array.  Read through a reversed
+    view, they may round differently: with numpy 2.4.6 on an AVX-512
+    x86-64 CPU, np.exp of a reversed view differed in the last bit from
+    np.exp of the same values in order for 4683 of 10^5 arguments in
+    [-700, 0], and np.log for 112 of 10^5 in (0, 10].  The bit-for-bit
+    test of this function against the concatenated formula catches either.
     """
     import numpy as np
 
@@ -203,9 +215,13 @@ def _inverter(n: int, p: float, m: int) -> tuple[np.ndarray, Callable[[np.ndarra
     first of at least 1 - 2^-53 are kept, and the window is freed.
 
     The guide table (Chen and Asau, 1974) holds the answer for each
-    bucket edge j / g, the number of entries below it.  At least four
-    buckets per entry, unless m is less, leave about 7 % of the uniforms
-    in a bucket holding an entry.  With g a power of two, u * g and j / g
+    bucket edge j / g, the number of entries below it.  g is the power
+    of two above the number of kept entries, or above m if m is less,
+    so the table is at most twice the kept CDF.  At n = 10^7, p = 1/2
+    (1.31 buckets per entry) that leaves 24 % of the uniforms in a
+    bucket holding an entry and 2.6 % in one holding more; four times
+    the buckets would cut those to 7.2 % and 0.54 %, for a table of
+    1 MiB instead of 0.25 MiB.  With g a power of two, u * g and j / g
     are exact, so a uniform u in bucket j has its answer between guide[j]
     and guide[j + 1]; where those agree, no search is needed, and where
     they differ by one, the answer is guide[j] + (u > cdf[guide[j]]).
@@ -217,7 +233,7 @@ def _inverter(n: int, p: float, m: int) -> tuple[np.ndarray, Callable[[np.ndarra
     first, last = np.searchsorted(cdf, (2.0**-53, 1.0 - 2.0**-53), side="left").tolist()
     keep = np.r_[0, max(first, 1):last + 1]
     cdf = cdf[keep]
-    g = 1 << min(4 * cdf.size, m).bit_length()
+    g = 1 << min(cdf.size, m).bit_length()
     # entry i is below j / g for each j above its bucket floor(cdf[i] * g)
     guide = np.bincount((cdf * g).astype(np.intp) + 1, minlength=g + 1)[:g + 1]
     np.cumsum(guide, out=guide)
@@ -282,9 +298,9 @@ def _ks(values: np.ndarray, counts: np.ndarray, n: int, p: float, sigma: float) 
     mean = expected_regions(CutModel(n, p, 2))
     z = (values - mean) / sigma
     phi = np.empty(z.size)
-    for start in range(0, z.size, CHUNK_DRAWS):  # not one float object per value at once
-        phi[start:start + CHUNK_DRAWS] = [0.5 * math.erfc(-v / _SQRT2)
-                                          for v in z[start:start + CHUNK_DRAWS].tolist()]
+    for start in range(0, z.size, _KS_BATCH):  # not one float object per value at once
+        phi[start:start + _KS_BATCH] = [0.5 * math.erfc(-v / _SQRT2)
+                                        for v in z[start:start + _KS_BATCH].tolist()]
     cumulative = np.cumsum(counts)
     m = int(cumulative[-1])
     upper = float(np.max(cumulative / m - phi))

@@ -11,6 +11,7 @@ import pytest
 from maxdiv import MAX_SAMPLES, MAX_SEED
 from maxdiv import clt
 from maxdiv.clt import (
+    _KS_BATCH,
     CHUNK_DRAWS,
     MAX_CUTS,
     NormalitySample,
@@ -80,10 +81,14 @@ def test_rinott_max_term_is_max():
     assert rt.max_term == max(rt.term1, rt.term2, rt.term3)
 
 
-def test_term1_dominates_below_half():
-    for n in (2, 3, 5, 10, 50, 300):
-        for k in range(1, 11):
-            rt = rinott_terms(n, k / 20)
+def test_terms_decrease_strictly_on_both_sides_of_half():
+    """term2 / term1 = term3 / term2 = sigma / sqrt(N D), and
+    sigma^2 <= n^3 / 4 < N D = 4n(n^2 + 1), so term1 > term2 > term3 for
+    every input rinott_terms answers."""
+    for n in (2, 3, 5, 10, 50, 300, 10**6, MAX_CUTS):
+        for p in (1e-13, 1e-6, 0.01, *(k / 20 for k in range(1, 20)), 0.99, 1 - 1e-6, 1 - 1e-13):
+            rt = rinott_terms(n, p)
+            assert rt.term1 > rt.term2 > rt.term3
             assert rt.max_term == rt.term1
 
 
@@ -253,13 +258,15 @@ def test_samples_at_the_cut_limit_are_exact_region_counts():
         assert abs(x - MAX_CUTS * 0.9) <= 6 * sigma
 
 
-@pytest.mark.parametrize("n, m, limit_mib", [(10**7, 10**6, 2.6), (MAX_CUTS, 10**5, 32)])
+@pytest.mark.parametrize("n, m, limit_mib", [(10**7, 10**6, 1.8), (MAX_CUTS, 10**5, 32)])
 def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
     """numpy reports its buffers to tracemalloc.  Building the window in
-    place and drawing from the reachable entries keeps the peak near
-    2.4 and 25 MiB; a window built from fresh arrays and kept for the
-    draws reads 5.3 and 65.7 MiB, and a guide table kept alive through
-    the KS run reads 2.9 MiB at n = 10^7."""
+    place, drawing from the reachable entries through a guide of one to
+    two buckets per entry, and taking the normal CDF a small batch of
+    values at a time keep the peak near 1.4 and 25 MiB.  A window built
+    from fresh arrays and kept for the draws reads 3.8 and 65.7 MiB, and
+    a guide of four to eight buckets per entry 2.1 MiB at n = 10^7; a
+    guide kept alive through the KS run reads 1.6 MiB there."""
     sample_normality(100, 0.5, 10, 1)
     tracemalloc.start()
     try:
@@ -268,6 +275,27 @@ def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
     finally:
         tracemalloc.stop()
     assert peak < limit_mib * 2**20
+
+
+def test_the_ks_run_starts_without_the_guide_table(monkeypatch):
+    """sample_normality drops its inverter, and with it the guide table
+    and the kept CDF, before the KS run.  At n = 10^7 that leaves 0.66 MiB
+    traced when the KS run starts, and 1.13 MiB if the inverter is kept;
+    the traced peak, set while the window is built, does not show this."""
+    ks, alive = clt._ks, []
+
+    def traced_ks(*args):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        return ks(*args)
+
+    monkeypatch.setattr(clt, "_ks", traced_ks)
+    sample_normality(100, 0.5, 10, 1)
+    tracemalloc.start()
+    try:
+        sample_normality(10**7, 0.5, 10**6, 1)
+    finally:
+        tracemalloc.stop()
+    assert alive[-1] < 0.9 * 2**20
 
 
 def test_samples_beyond_the_cut_limit_are_refused():
@@ -427,6 +455,25 @@ def test_histogram_ks_equals_ks_of_the_samples(n, p, m, seed):
     )
 
 
+@pytest.mark.parametrize("n", [2, 10, 100, 1000])
+@pytest.mark.parametrize("p", [1e-6, 0.1, 0.3, 0.5, 0.9, 1 - 1e-6])
+def test_window_cdf_is_the_exact_cdf(n, p):
+    """Every window entry within 1e-12 of the exact CDF, summed in
+    integers for p = a / b: weight x is C(n, x) a^x (b - a)^(n - x) of
+    b^n, and weight x + 1 is weight x times (n - x) a / ((x + 1)(b - a)),
+    exactly.  At n <= 1000 the windows are cut at 0, at n or at both."""
+    lo, cdf = _binomial_cdf(n, p)
+    a, b = p.as_integer_ratio()
+    total, below, weight = b**n, 0, (b - a) ** n
+    exact = []
+    for x in range(lo + cdf.size):
+        below += weight
+        weight = weight * (n - x) * a // ((x + 1) * (b - a))
+        if x >= lo:
+            exact.append(below / total)
+    assert np.max(np.abs(cdf - exact)) <= 1e-12
+
+
 def test_histogram_cases_include_clipped_windows():
     assert _binomial_window(2, 0.5) == (0, 2)
     assert _binomial_window(10**6, 1e-4)[0] == 0
@@ -506,17 +553,17 @@ def test_ks_matches_brute_force_with_heavy_ties():
     )
 
 
-@pytest.mark.parametrize("heavy", [0, CHUNK_DRAWS - 1, CHUNK_DRAWS, 2 * CHUNK_DRAWS + 7,
-                                   3 * CHUNK_DRAWS + 4])
-def test_ks_over_several_chunks_of_values_equals_one_pass(heavy):
-    """_ks evaluates the normal CDF a chunk of values at a time.  With
+@pytest.mark.parametrize("heavy", [0, _KS_BATCH - 1, _KS_BATCH, 2 * _KS_BATCH + 7,
+                                   3 * _KS_BATCH + 4])
+def test_ks_over_several_batches_of_values_equals_one_pass(heavy):
+    """_ks evaluates the normal CDF a batch of values at a time.  With
     nearly all the sample on one value, the distance is set by the CDF
-    there, so each case checks it, in another chunk, against one pass
+    there, so each case checks it, in another batch, against one pass
     over all the values."""
     n, p = 10**9, 0.5
     sigma = clt._exact_sigma(n, p)
     mean = expected_regions(CutModel(n, p, 2))
-    values = mean + sigma * np.linspace(-6.0, 6.0, 3 * CHUNK_DRAWS + 5)
+    values = mean + sigma * np.linspace(-6.0, 6.0, 3 * _KS_BATCH + 5)
     counts = np.ones(values.size, dtype=np.int64)
     counts[heavy] = 10**12
     z = (values - mean) / sigma
@@ -526,6 +573,53 @@ def test_ks_over_several_chunks_of_values_equals_one_pass(heavy):
     upper, lower = np.max(cumulative / m - phi), np.max(phi - (cumulative - counts) / m)
     expected = max(float(upper), float(lower))
     assert clt._ks(values, counts, n, p, sigma).ks_distance == expected
+
+
+def exact_kolmogorov_distance(n: int, p: float) -> float:
+    """d_K between the standardized region count and N(0, 1), from the
+    window CDF and math.erfc, with no sampling.  The region count rises
+    with the outcome x, so the sup is the larger of F(x) - Phi(z_x) and
+    Phi(z_x) - F(x-) over the window; F is 0 below it and 1 above it in
+    float64."""
+    lo, cdf = _binomial_cdf(n, p)
+    sigma = clt._exact_sigma(n, p)
+    mean = expected_regions(CutModel(n, p, 2))
+    gap, below = 0.0, 0.0
+    for x, f in enumerate(cdf.tolist(), start=lo):
+        phi = 0.5 * math.erfc(-(1 + x + x * (x - 1) // 2 - mean) / sigma / math.sqrt(2.0))
+        gap = max(gap, f - phi, phi - below)
+        below = f
+    return gap
+
+
+def dkw_epsilon(m: int, delta: float = 1e-9) -> float:
+    """Dvoretzky-Kiefer-Wolfowitz with Massart's constant: the empirical
+    CDF of m draws is farther than this from the true CDF anywhere with
+    probability at most delta, and the KS distance moves no more."""
+    return math.sqrt(math.log(2 / delta) / (2 * m))
+
+
+@pytest.mark.parametrize("n, p, m", [
+    (10**4, 0.5, 10**5), (10**7, 0.5, 10**6), (100, 0.9, 10**5), (10**5, 0.01, 10**5),
+])
+def test_sampled_ks_is_within_dkw_of_the_exact_distance(n, p, m):
+    """The oracle shares no sampling code with the sampler; at a fixed
+    seed the event it excludes has probability below 1e-9."""
+    sampled = sample_normality(n, p, m, KS_SEED).ks_distance
+    assert abs(sampled - exact_kolmogorov_distance(n, p)) <= dkw_epsilon(m)
+
+
+@pytest.mark.parametrize("n, p, m", [(100, 0.9, 10**5), (10**4, 0.5, 10**6), (10**3, 0.1, 10**6)])
+def test_draws_shifted_by_one_outcome_break_the_dkw_bound(n, p, m):
+    """The DKW check can fail: every draw x moved to x + 1 is too far
+    from the exact distance.  (At n = 10^7 a one-outcome shift moves the
+    KS distance by only about 0.001, inside the bound.)"""
+    regions = sample_region_counts(n, p, m, KS_SEED)
+    x = (np.sqrt(8 * (regions - 1) + 1).round().astype(np.int64) - 1) // 2
+    assert np.array_equal(1 + x + x * (x - 1) // 2, regions)
+    # the region count of x + 1 is that of x plus x + 1
+    shifted = ks_distance(regions + x + 1, n, p).ks_distance
+    assert abs(shifted - exact_kolmogorov_distance(n, p)) > dkw_epsilon(m)
 
 
 def test_ks_improves_with_n():
