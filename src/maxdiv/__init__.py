@@ -19,7 +19,7 @@ MAX_CUTS = (1 + math.isqrt(4 * (2**63 - 1) + 1)) // 2
 #: histogram of the draws, so its memory does not grow with the sample
 #: count and the bound limits time: ``clt --n 10^7`` with this many
 #: samples took 0.6-0.9 s on a 2-vCPU x86-64 VM, with a peak RSS of
-#: 32.1-32.2 MiB.  Defined here for the same reason as MAX_CUTS.
+#: 31.7-31.9 MiB.  Defined here for the same reason as MAX_CUTS.
 MAX_SAMPLES = 30_000_000
 
 #: Largest stream seed: ``clt`` keys a 128-bit counter-based stream with

@@ -263,10 +263,10 @@ def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
     """numpy reports its buffers to tracemalloc.  Building the window in
     place, drawing from the reachable entries through a guide of one to
     two buckets per entry, and taking the normal CDF a small batch of
-    values at a time keep the peak near 1.4 and 25 MiB.  A window built
-    from fresh arrays and kept for the draws reads 3.8 and 65.7 MiB, and
-    a guide of four to eight buckets per entry 2.1 MiB at n = 10^7; a
-    guide kept alive through the KS run reads 1.6 MiB there."""
+    values at a time keep the peak near 1.4 and 25 MiB, set while the
+    window is built.  A window built from fresh arrays and kept for the
+    draws reads 3.8 and 65.7 MiB, and a guide of four to eight buckets
+    per entry 2.1 MiB at n = 10^7."""
     sample_normality(100, 0.5, 10, 1)
     tracemalloc.start()
     try:
@@ -279,8 +279,8 @@ def test_sampler_keeps_its_traced_peak_small(n, m, limit_mib):
 
 def test_the_ks_run_starts_without_the_guide_table(monkeypatch):
     """sample_normality drops its inverter, and with it the guide table
-    and the kept CDF, before the KS run.  At n = 10^7 that leaves 0.66 MiB
-    traced when the KS run starts, and 1.13 MiB if the inverter is kept;
+    and the kept CDF, before the KS run.  At n = 10^7 that leaves 0.17 MiB
+    traced when the KS run starts, and 0.64 MiB if the inverter is kept;
     the traced peak, set while the window is built, does not show this."""
     ks, alive = clt._ks, []
 
@@ -295,7 +295,44 @@ def test_the_ks_run_starts_without_the_guide_table(monkeypatch):
         sample_normality(10**7, 0.5, 10**6, 1)
     finally:
         tracemalloc.stop()
-    assert alive[-1] < 0.9 * 2**20
+    assert alive[-1] < 0.4 * 2**20
+
+
+@pytest.mark.parametrize("n, m, phase, limit_mib", [
+    (10**7, 10**6, "draws", 1.1), (10**7, 10**6, "ks", 0.4), (10**4, 10**5, "draws", 0.4),
+])
+def test_draws_and_ks_run_keep_their_traced_peaks_small(monkeypatch, n, m, phase, limit_mib):
+    """The traced peak of the draws, from the return of _inverter to the
+    start of the KS run, and that of the KS run.  Counting each chunk of
+    2^13 draws into the histogram in place, with no array of outcomes,
+    keeps the draws at 0.94 and 0.29 MiB at n = 10^7 and 10^4; chunks of
+    2^14 added as a bincount over an outcome array read 1.39 and 0.56 MiB.
+    The KS run reads 0.34 MiB in one float array and one float cumsum,
+    0.43 MiB with the drawn outcomes kept alive through it, and 1.15 MiB
+    with a fresh array for each step."""
+    inverter, ks, peaks = clt._inverter, clt._ks, {}
+
+    def traced_inverter(*args):
+        result = inverter(*args)
+        tracemalloc.reset_peak()
+        return result
+
+    def traced_ks(*args):
+        peaks["draws"] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        result = ks(*args)
+        peaks["ks"] = tracemalloc.get_traced_memory()[1]
+        return result
+
+    monkeypatch.setattr(clt, "_inverter", traced_inverter)
+    monkeypatch.setattr(clt, "_ks", traced_ks)
+    sample_normality(100, 0.5, 10, 1)
+    tracemalloc.start()
+    try:
+        sample_normality(n, 0.5, m, 1)
+    finally:
+        tracemalloc.stop()
+    assert peaks[phase] < limit_mib * 2**20
 
 
 def test_samples_beyond_the_cut_limit_are_refused():
@@ -320,14 +357,17 @@ def test_samples_beyond_the_sample_limit_are_refused_before_allocating():
 
 def test_seeds_outside_128_bits_are_refused_not_aliased():
     """The stream key has 128 bits: a wider seed would key the stream of
-    its low 128 bits, so it is refused, and the largest seed keys its own."""
+    its low 128 bits, so it is refused, and the smallest and largest
+    seeds key their own."""
     for seed in (-1, MAX_SEED + 1, -(2**130), 2**130):
         with pytest.raises(ValueError, match="seed"):
             sample_normality(1000, 0.3, 10, seed)
     top = sample_region_counts(1000, 0.3, 1000, MAX_SEED)
     assert np.array_equal(top, _reference_draws(1000, 0.3, 1000, MAX_SEED))
-    assert not np.array_equal(top, sample_region_counts(1000, 0.3, 1000, 0))
+    bottom = sample_region_counts(1000, 0.3, 1000, 0)
+    assert not np.array_equal(top, bottom)
     assert sample_normality(1000, 0.3, 1000, MAX_SEED) == ks_distance(top, 1000, 0.3)
+    assert sample_normality(1000, 0.3, 1000, 0) == ks_distance(bottom, 1000, 0.3)
 
 
 def _reference_draws(n: int, p: float, m: int, seed: int) -> np.ndarray:
@@ -386,14 +426,21 @@ def test_uniforms_are_multiples_of_2_pow_minus_53(key):
     assert np.array_equal(scaled, np.floor(scaled))
 
 
+def inverted_outcomes(lo: int, first: int, index: np.ndarray) -> np.ndarray:
+    """The outcome of each histogram index of _inverter: index 0 is
+    outcome lo, index i >= 1 outcome lo + first - 1 + i."""
+    return np.where(index == 0, lo, lo + first - 1 + index)
+
+
 def test_guided_inversion_equals_binary_search():
     """Every draw, in an easy bucket, a bucket with one CDF step or a
     wider one, gets the outcome a binary search over the whole window
     gives: the uniforms, multiples of 2^-53 as Generator.random returns,
     include those just below and just above each CDF entry and bucket
-    edge, 0, 2^-53 and 1 - 2^-53."""
+    edge, 0, 2^-53 and 1 - 2^-53.  The windows of n = 2 and 10 start with
+    an entry of at least 2^-53, the others below it."""
     ulp = 2.0**-53
-    for n, p in [(1000, 0.3), (10**7, 0.5), (100, 0.9), (10**5, 0.01)]:
+    for n, p in [(1000, 0.3), (10**7, 0.5), (100, 0.9), (10**5, 0.01), (2, 0.5), (10, 0.5)]:
         lo, cdf = _binomial_cdf(n, p)
         # bucket edges j / g of every guide size the window can get, and
         # the lattice points just below them
@@ -406,22 +453,70 @@ def test_guided_inversion_equals_binary_search():
         for uniforms in (*draws, lattice):
             # a guide sized for this batch, and guides sized for more or fewer draws
             for m in (uniforms.size, 1, 3, 10**6):
-                outcomes, invert = _inverter(n, p, m)
+                inverted_lo, first, size, invert = _inverter(n, p, m)
+                index = invert(uniforms)
+                assert inverted_lo == lo and 0 <= index.min() and index.max() < size
                 assert np.array_equal(
-                    outcomes[invert(uniforms)], lo + np.searchsorted(cdf, uniforms, side="left")
+                    inverted_outcomes(lo, first, index),
+                    lo + np.searchsorted(cdf, uniforms, side="left"),
                 )
 
 
 def test_inverter_keeps_only_the_reachable_entries():
     """At n = 10^7, p = 1/2 the CDF entries from the first of at least
-    2^-53 to the first of at least 1 - 2^-53, and the first entry."""
+    2^-53 to the first of at least 1 - 2^-53, and the first entry: 0
+    inverts to the first, 2^-53 to the second and 1 - 2^-53 to the last."""
     lo, cdf = _binomial_cdf(10**7, 0.5)
-    outcomes, _ = _inverter(10**7, 0.5, 10**6)
-    first = int(np.searchsorted(cdf, 2.0**-53))
-    assert (cdf.size, outcomes.size) == (123_545, 25_045)
+    inverted_lo, first, size, invert = _inverter(10**7, 0.5, 10**6)
+    outcomes = inverted_outcomes(lo, first, np.arange(size))
+    assert (cdf.size, size) == (123_545, 25_045)
+    assert (inverted_lo, first) == (lo, int(np.searchsorted(cdf, 2.0**-53)))
     assert outcomes[0] == lo and outcomes[1] == lo + first
     assert cdf[outcomes[-1] - lo - 1] < 1.0 - 2.0**-53 <= cdf[outcomes[-1] - lo]
     assert np.array_equal(np.diff(outcomes[1:]), np.ones(outcomes.size - 2, dtype=np.int64))
+    assert invert(np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])).tolist() == [0, 1, size - 1]
+
+
+@pytest.mark.parametrize("n, p", [(3, 1 - 1e-9), (100, 0.9), (10**7, 0.5), (10, 0.5)])
+def test_histogram_holds_the_outcome_of_each_uniform(monkeypatch, n, p):
+    """The values and counts sample_normality hands to the KS run are
+    those of the region counts of its uniforms, here 0, 2^-53 and the
+    lattice points at and above the lowest CDF entries, among random
+    ones over two chunks.  Only u = 0 reaches outcome lo below the first
+    entry of at least 2^-53, the second entry of the window at n = 3 and
+    far above lo at n = 100 and 10^7; at n = 10 it is entry 0 itself."""
+    lo, cdf = _binomial_cdf(n, p)
+    ulp = 2.0**-53
+    low = cdf[:int(np.searchsorted(cdf, ulp)) + 3]
+    uniforms = np.concatenate((
+        [0.0, ulp, 2 * ulp], np.floor(low / ulp) * ulp, np.ceil(low / ulp) * ulp,
+        np.random.Generator(np.random.Philox(key=3)).random(CHUNK_DRAWS + 3),
+    ))
+    uniforms = uniforms[uniforms < 1.0]
+    x = lo + np.searchsorted(cdf, uniforms, side="left")
+    values, counts = np.unique((1 + x + x * (x - 1) // 2).astype(np.float64),
+                               return_counts=True)
+
+    class Stream:
+        """Returns the uniforms above in order, in place of the Philox stream."""
+
+        def __init__(self, bit_generator):
+            self.left = uniforms
+
+        def random(self, size):
+            head, self.left = self.left[:size], self.left[size:]
+            return head
+
+    ks, handed = clt._ks, []
+
+    def recorded_ks(values, counts, *args):
+        handed.append((values.copy(), counts.copy()))
+        return ks(values, counts, *args)
+
+    monkeypatch.setattr(np.random, "Generator", Stream)
+    monkeypatch.setattr(clt, "_ks", recorded_ks)
+    sample_normality(n, p, uniforms.size, 1)
+    assert np.array_equal(handed[0][0], values) and np.array_equal(handed[0][1], counts)
 
 
 @pytest.mark.parametrize("m", [4 * CHUNK_DRAWS - 1, 4 * CHUNK_DRAWS, 4 * CHUNK_DRAWS + 1,
