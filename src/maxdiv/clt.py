@@ -24,7 +24,7 @@ CHUNK_DRAWS, each counted in place into a histogram over the kept
 entries, and the KS run keeps only how often each outcome was drawn, so
 it costs O(sqrt(n) + m) time and O(sqrt(n)) memory for m samples.  The
 traced peak, 1.4 MiB at n = 10^7 and 25 MiB at MAX_CUTS, is set while the
-window is built; at n = 10^7 with 10^6 samples the draws peak at 0.94 MiB
+window is built; at n = 10^7 with 10^6 samples the draws peak at 0.93 MiB
 and the KS run at 0.34 MiB.
 
 numpy is imported on first use, so importing this module, and with it
@@ -44,7 +44,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 #: Uniforms drawn and inverted at a time; bounds the memory each chunk
-#: takes beside the histogram at about 0.3 MiB whatever the sample count.
+#: takes beside the histogram at about 0.26 MiB whatever the sample count.
 CHUNK_DRAWS = 1 << 13
 
 #: Values whose normal CDF _ks evaluates at a time: a batch's z list and
@@ -224,15 +224,15 @@ def _inverter(n: int, p: float, m: int) -> tuple[int, int, int, Callable[[np.nda
     The guide table (Chen and Asau, 1974) holds the answer for each
     bucket edge j / g, the number of entries below it.  g is the power
     of two above the number of kept entries, or above m if m is less,
-    so the table is at most twice the kept CDF.  At n = 10^7, p = 1/2
-    (1.31 buckets per entry) that leaves 24 % of the uniforms in a
-    bucket holding an entry and 2.6 % in one holding more; four times
-    the buckets would cut those to 7.2 % and 0.54 %, for a table of
-    1 MiB instead of 0.25 MiB.  With g a power of two, u * g and j / g
-    are exact, so a uniform u in bucket j has its answer between guide[j]
-    and guide[j + 1]; where those agree, no search is needed, and where
-    they differ by one, the answer is guide[j] + (u > cdf[guide[j]]).
-    Only the few uniforms in wider buckets are binary-searched.
+    so the table is at most twice the kept CDF.  With g a power of two,
+    u * g and j / g are exact, so a uniform u in bucket j has its answer
+    between guide[j] and guide[j + 1], and guide[j] is a kept entry, as
+    the last one is at least 1 - 2^-53 >= j / g.  Every uniform takes
+    guide[j] + (u > cdf[guide[j]]), its answer wherever the two differ
+    by at most one; only the uniforms in wider buckets are then
+    binary-searched.  At n = 10^7, p = 1/2 (1.31 buckets per entry)
+    those are 2.6 % of the uniforms; four times the buckets would cut
+    that to 0.54 %, for a table of 1 MiB instead of 0.25 MiB.
     """
     import numpy as np
 
@@ -244,17 +244,15 @@ def _inverter(n: int, p: float, m: int) -> tuple[int, int, int, Callable[[np.nda
     # entry i is below j / g for each j above its bucket floor(cdf[i] * g);
     # the last entry, at least 1 - 2^-53, fills the guide up to j = g or more
     guide = np.bincount((cdf * g).astype(np.intp) + 1)
+    wide = guide[1:] > 1  # bucket j holds guide[j + 1] entries until the cumsum
     np.cumsum(guide, out=guide)
-    steps = guide[1:] != guide[:-1]
 
     def invert(uniforms: np.ndarray) -> np.ndarray:
         bucket = (uniforms * g).astype(np.intp)
         index = guide[bucket]
-        hard = np.flatnonzero(steps[bucket])
-        low, high = index[hard], guide[bucket[hard] + 1]
-        index[hard] = low + (uniforms[hard] > cdf[low])
-        wide = hard[high - low > 1]
-        index[wide] = np.searchsorted(cdf, uniforms[wide], side="left")
+        index += uniforms > cdf[index]
+        searched = np.flatnonzero(wide[bucket])
+        index[searched] = np.searchsorted(cdf, uniforms[searched], side="left")
         return index
 
     return lo, first, cdf.size, invert

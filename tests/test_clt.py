@@ -305,7 +305,7 @@ def test_draws_and_ks_run_keep_their_traced_peaks_small(monkeypatch, n, m, phase
     """The traced peak of the draws, from the return of _inverter to the
     start of the KS run, and that of the KS run.  Counting each chunk of
     2^13 draws into the histogram in place, with no array of outcomes,
-    keeps the draws at 0.94 and 0.29 MiB at n = 10^7 and 10^4; chunks of
+    keeps the draws at 0.93 and 0.28 MiB at n = 10^7 and 10^4; chunks of
     2^14 added as a bincount over an outcome array read 1.39 and 0.56 MiB.
     The KS run reads 0.34 MiB in one float array and one float cumsum,
     0.43 MiB with the drawn outcomes kept alive through it, and 1.15 MiB
@@ -475,6 +475,25 @@ def test_inverter_keeps_only_the_reachable_entries():
     assert cdf[outcomes[-1] - lo - 1] < 1.0 - 2.0**-53 <= cdf[outcomes[-1] - lo]
     assert np.array_equal(np.diff(outcomes[1:]), np.ones(outcomes.size - 2, dtype=np.int64))
     assert invert(np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])).tolist() == [0, 1, size - 1]
+
+
+def test_only_draws_in_buckets_of_two_or_more_entries_are_binary_searched(monkeypatch):
+    """Every draw is answered by its guide entry and one comparison,
+    unless its bucket holds two or more CDF entries: at clt-wide's
+    n = 10^7, p = 1/2 and 10^6 samples, 2.6 % of the uniforms reach
+    np.searchsorted.  Searching the one-entry buckets too reads 24 %,
+    and a one-bucket guide searches every draw; the index stays the
+    same, so only this count tells them apart."""
+    searchsorted, searched = np.searchsorted, []
+
+    def counted(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    m = 10**6
+    sample_normality(10**7, 0.5, m, 1)
+    assert sum(searched) < 0.05 * m
 
 
 @pytest.mark.parametrize("n, p", [(3, 1 - 1e-9), (100, 0.9), (10**7, 0.5), (10, 0.5)])

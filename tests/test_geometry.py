@@ -224,6 +224,16 @@ def test_validate_rejects_concurrent():
     with pytest.raises(DegenerateConfigurationError):
         validate_chord_set(cs)
 
+    # the line y = 0 and lines at 1.0 and 1.0 + 1e-3 rad through (0.3, 0)
+    # and (0.3 + 5e-10, 0): only crossings 0 and 1, neighbours in the
+    # list, are 5e-10 apart, and crossing 2 lies 4.2e-7 from both
+    def line(direction: float, x: float) -> Chord:
+        return Chord(direction + math.pi / 2, -math.sin(direction) * x)
+
+    cs = (Chord(math.pi / 2, 0.0), line(1.0, 0.3), line(1.0 + 1e-3, 0.3 + 5e-10))
+    with pytest.raises(DegenerateConfigurationError, match="concurrent"):
+        validate_chord_set(cs)
+
 
 def test_validate_rejects_exterior_crossing():
     # nearly parallel chords meet far outside the disk
@@ -236,6 +246,20 @@ def test_validate_rejects_coinciding_endpoints():
     # two diameters 1e-10 apart cross at the centre, so only the endpoint
     # check can refuse them
     cs = (Chord(math.pi / 2, 0.0), Chord(math.pi / 2 + 1e-10, 0.0))
+    with pytest.raises(DegenerateConfigurationError, match="endpoints coincide"):
+        validate_chord_set(cs)
+
+    # the chords through the circle points at angles pi + 0.3, 0 and at
+    # 4e-10, pi + 0.3 + 2e-3: only endpoints 1 and 2, neighbours in the
+    # list, are 4e-10 apart, and they cross 3.9e-7 inside the circle
+    def through(alpha: float, beta: float) -> Chord:
+        """The chord with endpoints() at angles alpha, then beta > alpha."""
+        return Chord((alpha + beta) / 2 + math.pi, -math.cos((beta - alpha) / 2))
+
+    cs = (through(math.pi + 0.3, 2 * math.pi), through(4e-10, math.pi + 0.3 + 2e-3))
+    points = [point for chord in cs for point in chord.endpoints()]
+    assert math.dist(points[1], (1.0, 0.0)) < 1e-15
+    assert math.dist(points[2], (math.cos(4e-10), math.sin(4e-10))) < 1e-15
     with pytest.raises(DegenerateConfigurationError, match="endpoints coincide"):
         validate_chord_set(cs)
 

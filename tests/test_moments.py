@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -302,6 +303,8 @@ def test_rational_route_guards():
         exact_moments_rational(5, 0.5, 2)
     with pytest.raises(ValueError):
         exact_moments_rational(5, Fraction(3, 2), 2)
+    with pytest.raises(ValueError, match="outside"):
+        exact_moments_rational(5, Fraction(-1, 2), 2)
 
 
 def test_dimension_guards():
@@ -335,6 +338,47 @@ def test_enumeration_refuses_counts_past_float_range(n, p, d):
         with pytest.raises(OverflowError, match="past the float range"):
             route(CutModel(n, p, d))
         assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("n, p, d, exponent", [
+    (10**400, 0.5, 3, 1198), (10**7, 0.5, 10**7, 1447645), (10**4, 0.7, 10**4, 1786),
+    (2000, 1.0, 10**4, 433), (2000, 0.7, 10**4, 356), (2000, 0.7, 600, 387),
+])
+def test_a_mean_past_the_float_range_is_refused_with_a_lower_bound(n, p, d, exponent):
+    """The message, which the command line prints, gives a lower bound of
+    the largest mean term in powers of ten: E(R) is about 10^1198.3 at
+    the first, and 1.5^n = 10^1760912.6 at the second.  Each term of the
+    bound, and the choice of the largest term, moves the exponent at one
+    of these at least."""
+    want = f"the mean at d = {d} is above 10^{exponent}, past the float range"
+    for route in (moments_exact, expected_regions):
+        with pytest.raises(OverflowError, match=re.escape(want)):
+            route(CutModel(n, p, d))
+
+
+def test_a_2d_mean_at_the_edge_of_the_float_range():
+    """E(R) = 1 + n/2 + n(n - 1)/8 at p = 1/2, d = 2.  The largest term's
+    log bound sits 0.04 nats under log E(R), so a mean 1.6e-4 nats under
+    the float maximum is answered, correctly rounded, and one 0.11 nats
+    over it is refused by that bound before any sum."""
+    n = 3792 * 10**151
+    want = 1 + Fraction(n, 2) + Fraction(n * (n - 1), 8)
+    assert float(want) == 1.797408e308
+    assert moments_exact(CutModel(n, 0.5, 2)).mean == expected_regions(CutModel(n, 0.5, 2))
+    assert expected_regions(CutModel(n, 0.5, 2)) == float(want)
+    for route in (moments_exact, expected_regions):
+        with pytest.raises(OverflowError, match=re.escape("d = 2 is above 10^308, past")):
+            route(CutModel(4 * 10**154, 0.5, 2))
+
+
+def test_a_2d_variance_at_the_edge_of_the_float_range():
+    """V(R) is about n^3 / 16 at p = 1/2, d = 2, and its log lower bound
+    sits about 0.08 nats under it, so a variance 3.1e-4 nats under the
+    float maximum is summed and one just over it is inf."""
+    bundle = moments_exact(CutModel(1422 * 10**100, 0.5, 2))
+    assert bundle.variance == 1.797127155e308
+    assert bundle.variance == variance_closed_form(CutModel(1422 * 10**100, 0.5, 2))
+    assert moments_exact(CutModel(1423 * 10**100, 0.5, 2)).variance == math.inf
 
 
 def test_enumeration_keeps_counts_within_float_range():
@@ -498,6 +542,15 @@ def test_concentration_window_regimes():
     assert 0.8 <= window / n**0.75 <= 1.2
     _, window = concentration_window(CutModel(n, 1 - n**-0.5, 2))
     assert 0.8 <= window / n**1.25 <= 1.2
+
+
+def test_closed_form_second_moment_at_2d_is_the_polynomial():
+    """At d = 2 the closed route's E(R^2) is second_moment_2d's, bit for
+    bit; V(R) + E(R)^2 differs from it in the last bits at 182 of these 300."""
+    rng = random.Random(2)
+    for _ in range(300):
+        model = CutModel(rng.randrange(1, 10**6), rng.random(), 2)
+        assert moments_closed_form(model).second_moment == second_moment_2d(model), model
 
 
 def test_moment_bundles_agree():
