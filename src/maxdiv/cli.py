@@ -418,7 +418,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     normality = clt_mod.sample_normality(n, p, samples, seed)
     row = (
         n, p, samples, seed,
-        terms.term1, terms.term2, terms.term3, terms.max_term,
+        terms.term1, terms.term2, terms.term3, terms.term1,  # max_term: term1 > term2 > term3
         check.margin, check.in_clt_regime,
         normality.ks_distance, normality.mean, normality.sigma,
     )

@@ -74,11 +74,6 @@ class RinottTerms(NamedTuple):
     term2: float
     term3: float
 
-    @property
-    def max_term(self) -> float:
-        """The reported bound; no universal constant is applied."""
-        return max(self.term1, self.term2, self.term3)
-
 
 class ThresholdCheck(NamedTuple):
     in_clt_regime: bool

@@ -88,25 +88,29 @@ def _intersection(a: Chord, b: Chord) -> tuple[float, float] | None:
     return (px, py)
 
 
-def validate_chord_set(chords: Sequence[Chord]) -> list[tuple[int, int, tuple[float, float]]]:
+def _require_apart(points: list[tuple[float, float]], reason: str) -> None:
+    """Refuse, with reason, any two points closer than GENERAL_POSITION_TOL."""
+    for a in range(len(points)):
+        for b in range(a + 1, len(points)):
+            if math.dist(points[a], points[b]) < GENERAL_POSITION_TOL:
+                raise DegenerateConfigurationError(reason)
+
+
+def validate_chord_set(chords: Sequence[Chord]) -> list[tuple[float, float]]:
     """Check the maximal-arrangement invariants.
 
     Every pair of chords must cross strictly inside the disk, no two may
     be parallel, and no three concurrent; all distinctness is enforced
     with margin GENERAL_POSITION_TOL.  Returns the interior crossing
-    points as (i, j, point) triples.
+    points.
 
     Raises InvalidChordError if a line misses the disk, and
     DegenerateConfigurationError for any other violated invariant.
     """
-    endpoints: list[tuple[float, float]] = []
-    for chord in chords:
-        endpoints.extend(chord.endpoints())
-
-    crossings: list[tuple[int, int, tuple[float, float]]] = []
-    m = len(chords)
-    for i in range(m):
-        for j in range(i + 1, m):
+    endpoints = [point for chord in chords for point in chord.endpoints()]
+    crossings: list[tuple[float, float]] = []
+    for i in range(len(chords)):
+        for j in range(i + 1, len(chords)):
             point = _intersection(chords[i], chords[j])
             if point is None:
                 raise DegenerateConfigurationError(f"chords {i} and {j} are parallel")
@@ -114,21 +118,9 @@ def validate_chord_set(chords: Sequence[Chord]) -> list[tuple[int, int, tuple[fl
                 raise DegenerateConfigurationError(
                     f"chords {i} and {j} do not cross strictly inside the disk"
                 )
-            crossings.append((i, j, point))
-
-    pts = [p for _, _, p in crossings]
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if math.dist(pts[a], pts[b]) < GENERAL_POSITION_TOL:
-                raise DegenerateConfigurationError(
-                    "three chords are concurrent (or nearly so)"
-                )
-    for a in range(len(endpoints)):
-        for b in range(a + 1, len(endpoints)):
-            if math.dist(endpoints[a], endpoints[b]) < GENERAL_POSITION_TOL:
-                raise DegenerateConfigurationError(
-                    "two chord endpoints coincide on the circle"
-                )
+            crossings.append(point)
+    _require_apart(crossings, "three chords are concurrent (or nearly so)")
+    _require_apart(endpoints, "two chord endpoints coincide on the circle")
     return crossings
 
 

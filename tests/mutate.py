@@ -1,5 +1,5 @@
 """Mutation runner: ast mutants of the functions in src/maxdiv, each run
-against its module's test file on a copy of the repository.
+against the tier-1 tests on a copy of the repository.
 
     python tests/mutate.py --list
     python tests/mutate.py --copy DIR --function _inverter sample_normality _ks
@@ -8,12 +8,14 @@ Three kinds of mutant are made in every selected function, nested
 functions included: each comparison operator flipped (< and <=, > and
 >=, == and !=, is and is not, in and not in), each integer constant
 moved by +1 and by -1, and each statement deleted (replaced by pass).
---list prints them and runs nothing.  Otherwise src/, tests/ and
-pyproject.toml are copied into DIR, which must lie outside the
-repository, and for each mutant the module in the copy is rewritten and
-its tests, tests/test_<module>.py, are run with pytest -x.  A mutant whose tests pass survives; a
-failing, erroring or timed-out run kills it.  The survivors are printed
-at the end, and the copy's module is restored.  pytest does not collect
+--list prints them and runs nothing.  Otherwise the checkout, without
+.git and the cache directories, is copied into DIR, which must lie
+outside the repository, and for each mutant the module in the copy is
+rewritten and every tests/test_*.py file is run with pytest -x, the
+module's own tests/test_<module>.py first, so most mutants fail fast.
+A mutant whose tests pass survives; a failing, erroring or timed-out run
+kills it.  The survivors are printed at the end, after a line "N
+survivors", and the copy's module is restored.  pytest does not collect
 this file, and it needs only the standard library.
 """
 
@@ -31,6 +33,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "maxdiv"
+#: Left out of the copy: nothing the tests read lives there.
+NOT_COPIED = (".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks", ".bench_out")
 
 FLIPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -120,11 +124,11 @@ def apply(source: str, mutant: Mutant) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def _run_tests(copy: Path, tests: str, timeout: float) -> int | None:
+def _run_tests(copy: Path, tests: list[str], timeout: float) -> int | None:
     """pytest's exit status on the copy, or None on a timeout."""
     try:
         return subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
             cwd=copy, env={**os.environ, "PYTHONPATH": str(copy / "src")},
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
         ).returncode
@@ -132,13 +136,16 @@ def _run_tests(copy: Path, tests: str, timeout: float) -> int | None:
         return None
 
 
-def run(copy: Path, module: Path, tests: str, found: list[Mutant]) -> list[Mutant]:
-    """The mutants of module that survive its tests, run in copy."""
+def run(copy: Path, module: Path, found: list[Mutant]) -> list[Mutant]:
+    """The mutants of module that survive the tier-1 tests, run in copy."""
     target = copy / module.relative_to(ROOT)
     original = module.read_text(encoding="utf-8")
+    own = f"tests/test_{module.stem}.py"
+    files = sorted(str(path.relative_to(copy)) for path in (copy / "tests").glob("test_*.py"))
+    tests = sorted(files, key=lambda name: name != own)  # the own file, if any, first
     start = time.perf_counter()
     if _run_tests(copy, tests, timeout=600) != 0:
-        raise SystemExit(f"{tests} fails on the unmutated copy")
+        raise SystemExit("the tests fail on the unmutated copy")
     timeout = max(60.0, 10 * (time.perf_counter() - start))
     survivors = []
     try:
@@ -146,7 +153,7 @@ def run(copy: Path, module: Path, tests: str, found: list[Mutant]) -> list[Mutan
             target.write_text(apply(original, mutant), encoding="utf-8")
             status = _run_tests(copy, tests, timeout)
             if status in (4, 5):
-                raise SystemExit(f"pytest could not run {tests} (exit status {status})")
+                raise SystemExit(f"pytest could not run the tests (exit status {status})")
             verdict = "SURVIVED" if status == 0 else "timeout" if status is None else "killed"
             print(f"[{number}/{len(found)}] {verdict:8s} {mutant.describe()}", flush=True)
             if status == 0:
@@ -182,19 +189,12 @@ def main(argv: list[str] | None = None) -> int:
     copy = args.copy.resolve()
     if copy == ROOT or ROOT in copy.parents:
         parser.error(f"{copy} lies inside the repository")
-    for name in ("src", "tests"):
-        shutil.copytree(ROOT / name, copy / name, dirs_exist_ok=True)
-    shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+    shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*NOT_COPIED), dirs_exist_ok=True)
 
     survivors = []
     for module, found in plan:
-        tests = f"tests/test_{module.stem}.py"
-        if not found:
-            continue
-        if not (ROOT / tests).exists():
-            print(f"skipped {module.stem}: no {tests}", file=sys.stderr)
-            continue
-        survivors += [(module, mutant) for mutant in run(copy, module, tests, found)]
+        if found:
+            survivors += [(module, mutant) for mutant in run(copy, module, found)]
     print(f"{len(survivors)} survivors")
     for module, mutant in survivors:
         print(f"  {module.stem}.{mutant.describe()}")

@@ -15,6 +15,7 @@ from clirun import invoke
 
 from maxdiv import MAX_SAMPLES, MAX_SEED
 from maxdiv import cli as cli_module
+from maxdiv import geometry as geometry_module
 from maxdiv import moments as moments_module
 from maxdiv.cli import CHUNK_ROWS, FAIRNESS_HEADER, MAX_GRID, main
 from maxdiv.clt import MAX_CUTS
@@ -204,6 +205,37 @@ def test_standalone_main_runs_no_exit_handler():
     _assert_reference("moments", proc)
 
 
+def _standalone(code: str, **streams) -> subprocess.CompletedProcess:
+    """`python -c CODE` without PYTHONUNBUFFERED, standard error to a pipe."""
+    return subprocess.run([sys.executable, "-c", "import io, sys\nfrom maxdiv.cli import main\n" + code],
+                          stderr=subprocess.PIPE, env=_environ(), timeout=60, **streams)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
+def test_a_standalone_run_whose_final_flush_fails_is_one_error_line(tmp_path):
+    """Only the caller's "x" is left for standard output: the run writes
+    to a file, so the flush before os._exit is what fails."""
+    argv = ["moments", "--n", "20", "--p", "0.3", "--out", str(tmp_path / "moments.csv")]
+    with open("/dev/full", "wb") as stdout:
+        proc = _standalone(f"sys.stdout.write('x')\nmain({argv!r})\n", stdout=stdout)
+    assert proc.returncode == 1
+    assert proc.stderr == b"Error: cannot write to standard output: [Errno 28] No space left on device\n"
+    assert (tmp_path / "moments.csv").read_bytes() == invoke(*argv[:-2]).stdout_bytes
+
+
+def test_a_refused_standalone_run_delivers_the_callers_pending_text():
+    argv = ["clt", "--n", "10", "--p", "0"]
+    proc = _standalone(f"sys.stdout.write('x')\nmain({argv!r})\n", stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (1, b"x", invoke(*argv).stderr)
+
+
+def test_a_block_buffered_stderr_gets_the_error_line_before_the_exit():
+    argv = ["clt", "--n", "10", "--p", "0"]
+    proc = _standalone("sys.stderr = io.TextIOWrapper(open(2, 'wb', closefd=False), write_through=False)\n"
+                       f"main({argv!r})\n", stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (1, b"", invoke(*argv).stderr)
+
+
 def _closed_pipe() -> int:
     """The write end of a pipe whose read end is closed: each write fails."""
     read_fd, write_fd = os.pipe()
@@ -254,6 +286,44 @@ def test_a_failing_stderr_changes_no_error_status_in_process(monkeypatch, argv, 
     stdout.flush()
     assert out.getvalue() == working.stdout_bytes
     assert working.exit_code == (0 if argv[0] == "fairness" else status)
+
+
+_MOMENTS = ["moments", "--n", "2", "--p", "0.5"]
+
+
+def test_a_run_to_standard_output_creates_no_file(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert invoke(*_MOMENTS).exit_code == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_text_a_caller_wrote_to_standard_output_comes_out_first(monkeypatch):
+    expected = invoke(*_MOMENTS).stdout_bytes
+    out = io.BytesIO()
+    stdout = io.TextIOWrapper(out, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    stdout.write("caller\n")
+    assert main(_MOMENTS, standalone_mode=False) == 0
+    stdout.flush()
+    assert out.getvalue() == b"caller\n" + expected
+
+
+def test_every_byte_reaches_the_raw_stream_before_main_returns(monkeypatch):
+    expected = invoke(*_MOMENTS).stdout_bytes
+    raw = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8"))
+    assert main(_MOMENTS, standalone_mode=False) == 0
+    assert raw.getvalue() == expected
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists the open descriptors in /proc")
+def test_a_failed_write_to_standard_output_leaves_no_descriptor_open(monkeypatch, capsys):
+    with open(_closed_pipe(), "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert main(_MOMENTS, standalone_mode=False) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == before
+    assert capsys.readouterr().err == "Error: cannot write to standard output: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -423,6 +493,19 @@ def test_fairness_worker_failure_ends_in_one_error_line(monkeypatch, forks, fail
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device whose writes fail")
 def test_fairness_failed_write_ends_every_worker(monkeypatch, forks, capsys):
+    """Every worker is reaped before the Error: line is written, not when
+    the table's generator is collected after it."""
+    live = []  # whether some child of this process runs, at each diagnostic
+    say = cli_module._say
+
+    def say_after_looking(text):
+        try:
+            live.append(os.waitpid(-1, os.WNOHANG) == (0, 0))
+        except ChildProcessError:
+            live.append(False)
+        return say(text)
+
+    monkeypatch.setattr(cli_module, "_say", say_after_looking)
     monkeypatch.setattr(cli_module, "_workers", lambda: 3)
     argv = ["fairness", "--grid", str(5 * CHUNK_ROWS + 3)]
     res = invoke(*argv, "--out", "/dev/full")
@@ -430,6 +513,7 @@ def test_fairness_failed_write_ends_every_worker(monkeypatch, forks, capsys):
     assert "cannot write '/dev/full'" in res.stderr
     assert len(forks) == 2
     _assert_reaped(forks)
+    assert live == [False]
     forks.clear()
     # a pipe nobody reads takes the header, then refuses the first chunk
     read_fd, write_fd = os.pipe()
@@ -440,11 +524,31 @@ def test_fairness_failed_write_ends_every_worker(monkeypatch, forks, capsys):
     assert capsys.readouterr().err.startswith("Error: cannot write to standard output")
     assert len(forks) == 2
     _assert_reaped(forks)
+    assert live == [False, False]
 
 
 def test_workers_fall_back_to_one_without_fork(monkeypatch):
     assert cli_module._workers() >= 1
     monkeypatch.delattr(os, "fork")
+    assert cli_module._workers() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to choose from")
+def test_workers_follow_the_cpus_this_process_may_run_on():
+    code = ("import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from maxdiv.cli import _workers\n"
+            "print(_workers())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert proc.stdout == "1\n"
+
+
+def test_workers_count_the_cpus_where_affinity_is_unknown(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli_module._workers() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli_module._workers() == 1
 
 
@@ -1051,6 +1155,17 @@ def test_a_missing_subcommand_is_a_usage_error():
     assert "Usage:" in res.stderr
 
 
+def test_help_before_a_command_is_the_program_help():
+    res = invoke("--help", "fairness")
+    assert (res.exit_code, res.stdout, res.stderr) == (0, invoke("--help").stdout, "")
+
+
+def test_an_unknown_command_is_named_under_the_usage_line():
+    res = invoke("bogus", "--n", "3")
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "Usage: maxdiv COMMAND [OPTIONS]\nError: No such command 'bogus'.\n")
+
+
 def test_an_interrupted_run_ends_in_one_line(monkeypatch):
     def interrupted(model):
         raise KeyboardInterrupt
@@ -1121,6 +1236,21 @@ def test_oracle_rejects_bad_seeds():
     res = invoke("oracle", "--n", "3", "--seeds", "1,zebra")
     assert res.exit_code != 0
     assert "comma-separated" in res.stderr
+
+
+def test_oracle_refuses_an_empty_seed_list():
+    res = invoke("oracle", "--n", "3", "--seeds", ",")
+    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "Error: --seeds produced an empty list\n")
+
+
+def test_oracle_fails_a_count_that_disagrees_with_the_formula(monkeypatch):
+    """No arrangement reaches this path yet: validate_chord_set refuses
+    every set that is not maximal, and a maximal set has the formula's count."""
+    count = geometry_module.count_regions_geometric
+    monkeypatch.setattr(geometry_module, "count_regions_geometric", lambda chords: count(chords) + 1)
+    res = invoke("oracle", "--n", "3", "--seeds", "0,1")
+    assert (res.exit_code, res.stderr) == (1, "")
+    assert res.stdout.splitlines()[1:] == ["3,0,8,7,fail", "3,1,8,7,fail"]
 
 
 def test_out_writes_file(tmp_path):

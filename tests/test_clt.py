@@ -76,11 +76,6 @@ def test_rinott_terms_positive():
             assert rt.term1 > 0 and rt.term2 > 0 and rt.term3 > 0
 
 
-def test_rinott_max_term_is_max():
-    rt = rinott_terms(50, 0.7)
-    assert rt.max_term == max(rt.term1, rt.term2, rt.term3)
-
-
 def test_terms_decrease_strictly_on_both_sides_of_half():
     """term2 / term1 = term3 / term2 = sigma / sqrt(N D), and
     sigma^2 <= n^3 / 4 < N D = 4n(n^2 + 1), so term1 > term2 > term3 for
@@ -89,7 +84,6 @@ def test_terms_decrease_strictly_on_both_sides_of_half():
         for p in (1e-13, 1e-6, 0.01, *(k / 20 for k in range(1, 20)), 0.99, 1 - 1e-6, 1 - 1e-13):
             rt = rinott_terms(n, p)
             assert rt.term1 > rt.term2 > rt.term3
-            assert rt.max_term == rt.term1
 
 
 def test_term3_ratio_halves():

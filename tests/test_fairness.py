@@ -348,6 +348,13 @@ def test_optimizers_reject_bad_tol():
                 optimizer(tol=tol)
 
 
+def test_maximize_min_piece_names_the_halved_tol_it_refuses():
+    """On the command line minimize_mad refuses an infinite --tol first,
+    so only this call shows which check refused it."""
+    with pytest.raises(ValueError, match="tol/2"):
+        maximize_min_piece(tol=math.inf)
+
+
 def test_refinement_stops_at_float_spacing():
     """A zero tolerance can never be met, yet the golden-section loop
     must end once the bracket reaches float spacing (about a hundred
