@@ -14,9 +14,11 @@ outside the repository, and for each mutant the module in the copy is
 rewritten and every tests/test_*.py file is run with pytest -x, the
 module's own tests/test_<module>.py first, so most mutants fail fast.
 A mutant whose tests pass survives; a failing, erroring or timed-out run
-kills it.  The survivors are printed at the end, after a line "N
-survivors", and the copy's module is restored.  pytest does not collect
-this file, and it needs only the standard library.
+kills it.  A run times out after twice the unmutated run plus 60 s, so
+a hanging mutant costs about three runs of the suite.  The survivors
+are printed at the end, after a line "N survivors", and the copy's
+module is restored.  pytest does not collect this file, and it needs
+only the standard library.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def run(copy: Path, module: Path, found: list[Mutant]) -> list[Mutant]:
     start = time.perf_counter()
     if _run_tests(copy, tests, timeout=600) != 0:
         raise SystemExit("the tests fail on the unmutated copy")
-    timeout = max(60.0, 10 * (time.perf_counter() - start))
+    timeout = 60.0 + 2 * (time.perf_counter() - start)
     survivors = []
     try:
         for number, mutant in enumerate(found, 1):

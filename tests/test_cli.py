@@ -422,10 +422,18 @@ def forks(monkeypatch):
     return pids
 
 
+def _exists(pid):
+    """Whether pid names a process, running or not yet reaped; reaps nothing."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def _assert_reaped(pids):
     for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+        assert not _exists(pid), pid
 
 
 def _fairness_reference(grid: int, fmt: str, summary) -> str:
@@ -495,14 +503,11 @@ def test_fairness_worker_failure_ends_in_one_error_line(monkeypatch, forks, fail
 def test_fairness_failed_write_ends_every_worker(monkeypatch, forks, capsys):
     """Every worker is reaped before the Error: line is written, not when
     the table's generator is collected after it."""
-    live = []  # whether some child of this process runs, at each diagnostic
+    live = []  # whether a worker of this test is still unreaped, at each diagnostic
     say = cli_module._say
 
     def say_after_looking(text):
-        try:
-            live.append(os.waitpid(-1, os.WNOHANG) == (0, 0))
-        except ChildProcessError:
-            live.append(False)
+        live.append(any(_exists(pid) for pid in forks))
         return say(text)
 
     monkeypatch.setattr(cli_module, "_say", say_after_looking)
