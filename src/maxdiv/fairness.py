@@ -80,15 +80,14 @@ def _check_arc(x: float) -> None:
         raise ValueError(f"arc length {x!r} outside [0, pi/3]")
 
 
-def _grid(points: int, start: int = 0, stop: int | None = None):
-    """Points start..stop-1 (all by default) of points >= 2 evenly spaced
-    arc lengths from 0 to ARC_MAX, lazily.
+def _grid(points: int, start: int, stop: int):
+    """Points start..stop-1 of points >= 2 evenly spaced arc lengths from
+    0 to ARC_MAX, lazily.
 
     The last point is ARC_MAX itself: ARC_MAX * (g - 1) / (g - 1) rounds
     one unit above it for some g (982 among them), outside the domain.
     """
     last = points - 1
-    stop = points if stop is None else stop
     return chain(
         (ARC_MAX * i / last for i in range(start, min(stop, last))),
         (ARC_MAX,) if stop == points else (),

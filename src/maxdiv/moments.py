@@ -118,33 +118,37 @@ def variance_closed_form(model: CutModel) -> float:
 
 
 def variance_asymptotic(model: CutModel) -> float:
-    """Leading-order variance as n grows at fixed d, for any d >= 1.
+    """Leading-order variance as n grows at fixed d, where its form holds.
 
     R ~ X^d / d!, so V(R) ~ n^(2d-1) p^(2d-1) q / ((d-1)!)^2 with
     q = 1 - p: n p q (the exact variance) at d = 1, n^3 p^3 q at d = 2
-    and n^5 p^5 q / 4 at d = 3.  The form does not hold once d nears n,
-    where R = 2^X.
+    and n^5 p^5 q / 4 at d = 3.  It is 0.0 at p = 0 and p = 1.
+
+    The form's corrections are of relative order d^2 / (n p), so it is
+    answered only at d = 1 or where d^2 <= n p, decided exactly from
+    p = u / v; elsewhere, as near d = n, where R = 2^X, it raises
+    UnsupportedDimensionError.  Inside that domain it stays within a
+    factor of 3 of moments_exact's variance on the tests' grid of
+    n <= 3000 and d < 60 (2.52 at worst).
 
     The size is decided in logs before any power or factorial is built,
-    so a huge d costs no time.  Past the float range this raises
-    OverflowError.  Where n^(2d-1) and ((d-1)!)^2 are floats, the
-    products run as written; elsewhere the result is exp of the log,
-    which is 0.0 below the smallest subnormal.
+    and past the float range this raises OverflowError.  Otherwise the
+    form is one integer, (n u)^(2d-1) (v - u), over another,
+    v^(2d) ((d-1)!)^2, rounded once, correctly.
     """
     n, p, d = model
-    q = 1.0 - p
-    if p == 0.0 or q == 0.0:
+    if p == 0.0 or p == 1.0:
         return 0.0
+    u, v = p.as_integer_ratio()
+    if d > 1 and d * d * v > n * u:
+        raise UnsupportedDimensionError(f"asymptotic variance needs d = 1 or d^2 <= n p, got d = {d}")
     k = 2 * d - 1
-    log_v = k * (math.log(n) + math.log(p)) + math.log(q) - 2 * math.lgamma(d)
+    log_v = k * (math.log(n) + math.log(p)) + math.log1p(-p) - 2 * math.lgamma(d)
     if log_v > _LOG_FLOAT_MAX:
         raise OverflowError(
             f"the variance at d = {d} is about 10^{log_v / math.log(10):.0f}, past the float range"
         )
-    if k * math.log(n) < _LOG_FLOAT_MAX and 2 * math.lgamma(d) < _LOG_FLOAT_MAX:
-        # int / int rounds once, so n**5 / 4 has the bits of 0.25 * n**5
-        return n**k / math.factorial(d - 1) ** 2 * p**k * q
-    return math.exp(log_v)
+    return _over((n * u) ** k * (v - u), v ** (k + 1) * math.factorial(d - 1) ** 2)
 
 
 def exact_moments_rational(n: int, p: Fraction, d: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -274,7 +278,13 @@ def moments_closed_form(model: CutModel) -> RegionMoments:
 
 
 def moments_asymptotic(model: CutModel) -> RegionMoments:
-    """Exact mean with the leading-order variance; no second moment."""
+    """Exact mean with the leading-order variance; no second moment.
+
+    The variance is variance_asymptotic's: correctly rounded, answered
+    only at d = 1 or d^2 <= n p, where the form's corrections of relative
+    order d^2 / (n p) are small (within a factor of 3 of the exact
+    variance on the tests' grid), and refused elsewhere.
+    """
     return RegionMoments(
         mean=expected_regions(model),
         variance=variance_asymptotic(model),

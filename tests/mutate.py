@@ -15,10 +15,12 @@ rewritten and every tests/test_*.py file is run with pytest -x, the
 module's own tests/test_<module>.py first, so most mutants fail fast.
 A mutant whose tests pass survives; a failing, erroring or timed-out run
 kills it.  A run times out after twice the unmutated run plus 60 s, so
-a hanging mutant costs about three runs of the suite.  The survivors
-are printed at the end, after a line "N survivors", and the copy's
-module is restored.  pytest does not collect this file, and it needs
-only the standard library.
+a hanging mutant costs about three runs of the suite.  The wall time of
+the unmutated run, of each mutant's run and of the whole sweep is
+printed, so a cap on a sweep's time can be sized from them.  The
+survivors are printed at the end, after a line "N survivors", and the
+copy's module is restored.  pytest does not collect this file, and it
+needs only the standard library.
 """
 
 from __future__ import annotations
@@ -148,16 +150,20 @@ def run(copy: Path, module: Path, found: list[Mutant]) -> list[Mutant]:
     start = time.perf_counter()
     if _run_tests(copy, tests, timeout=600) != 0:
         raise SystemExit("the tests fail on the unmutated copy")
-    timeout = 60.0 + 2 * (time.perf_counter() - start)
+    unmutated = time.perf_counter() - start
+    print(f"{module.stem}: unmutated run {unmutated:.1f} s", flush=True)
+    timeout = 60.0 + 2 * unmutated
     survivors = []
     try:
         for number, mutant in enumerate(found, 1):
             target.write_text(apply(original, mutant), encoding="utf-8")
+            start = time.perf_counter()
             status = _run_tests(copy, tests, timeout)
+            elapsed = time.perf_counter() - start
             if status in (4, 5):
                 raise SystemExit(f"pytest could not run the tests (exit status {status})")
             verdict = "SURVIVED" if status == 0 else "timeout" if status is None else "killed"
-            print(f"[{number}/{len(found)}] {verdict:8s} {mutant.describe()}", flush=True)
+            print(f"[{number}/{len(found)}] {verdict:8s} {elapsed:6.1f} s {mutant.describe()}", flush=True)
             if status == 0:
                 survivors.append(mutant)
     finally:
@@ -193,10 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{copy} lies inside the repository")
     shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*NOT_COPIED), dirs_exist_ok=True)
 
+    start = time.perf_counter()
     survivors = []
     for module, found in plan:
         if found:
             survivors += [(module, mutant) for mutant in run(copy, module, found)]
+    print(f"sweep {time.perf_counter() - start:.1f} s")
     print(f"{len(survivors)} survivors")
     for module, mutant in survivors:
         print(f"  {module.stem}.{mutant.describe()}")

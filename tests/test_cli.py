@@ -33,7 +33,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 def _rows(grid):
     """The rows of `fairness --grid G`, one list of 7 cells each."""
-    cells = _measures(_grid(grid))
+    cells = _measures(_grid(grid, 0, grid))
     return [cells[i:i + 7] for i in range(0, len(cells), 7)]
 
 
@@ -483,7 +483,7 @@ def test_fairness_worker_failure_ends_in_one_error_line(monkeypatch, forks, fail
 
     grid = fairness._grid
 
-    def failing_grid(points, start=0, stop=None):
+    def failing_grid(points, start, stop):
         if start == CHUNK_ROWS:
             failure()
         return grid(points, start, stop)
@@ -729,6 +729,23 @@ def test_moments_asymptotic_omits_second_moment():
     fields = dict(zip(*[line.split(",") for line in res.stdout.splitlines()]))
     assert fields["second_moment"] == ""
     assert fields["method"] == "asymptotic"
+
+
+@pytest.mark.parametrize("n, p, dim", [
+    ("1000", "0.5", "1000000000"), ("1000", "0.5", "1000"), ("2", "1e-300", "200"),
+])
+def test_moments_asymptotic_refuses_a_dimension_past_its_form(n, p, dim):
+    """Each printed a variance before: 0 for a mean of 1.2e176, 5.4e248
+    where V(R) is about 10^398, and 0 at d = 200 for two cuts."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxdiv", "moments", "--n", n, "--p", p, "--dim", dim, "--method", "asymptotic"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"Error: asymptotic variance needs d = 1 or d^2 <= n p, got d = {dim}\n"
 
 
 def test_moments_mean_is_correctly_rounded_where_binomials_pass_the_float_range():

@@ -61,7 +61,7 @@ def reference_row(x):
 
 def table_rows(grid):
     """The rows of `fairness --grid G`, one list of 7 cells each."""
-    cells = fairness._measures(fairness._grid(grid))
+    cells = fairness._measures(fairness._grid(grid, 0, grid))
     return [cells[i:i + 7] for i in range(0, len(cells), 7)]
 
 
@@ -117,7 +117,7 @@ def test_sd_zero_for_perfectly_fair_profile(monkeypatch):
     assert root_mean_square == pytest.approx(MEAN_AREA, rel=1e-15)
     assert smallest == min(areas)
     floor = math.pi**2 / 294 - 1e-15
-    for x in fairness._grid(100_001):
+    for x in fairness._grid(100_001, 0, 100_001):
         triangle, circular_triangle, circular_trapezoid = _areas(x)
         square_sum = triangle**2 + 3 * circular_triangle**2 + 3 * circular_trapezoid**2
         assert (square_sum - math.pi**2 / 7) / 7 >= floor, x
@@ -186,7 +186,7 @@ def test_bracket_layout_of_each_measure():
     and the local bracket points, with neither end among them, and
     -min_piece's only grid minimum is the maximin bracket point.  The
     local mad minimum is clearly above the global one."""
-    table = fairness._measures(fairness._grid(fairness.BRACKET_GRID))
+    table = fairness._measures(fairness._grid(fairness.BRACKET_GRID, 0, fairness.BRACKET_GRID))
     sds, mads, negated = table[4::7], table[5::7], [-v for v in table[6::7]]
 
     def minima(fs):
@@ -395,7 +395,7 @@ def test_measures_match_the_reference_row_bit_for_bit(grid):
     would round past pi/3."""
     cells = [cell for start in range(0, grid, CHUNK_ROWS)
              for cell in fairness._measures(fairness._grid(grid, start, min(start + CHUNK_ROWS, grid)))]
-    assert cells == [cell for x in fairness._grid(grid) for cell in reference_row(x)]
+    assert cells == [cell for x in fairness._grid(grid, 0, grid) for cell in reference_row(x)]
 
 
 def test_scan_endpoints_and_length():
@@ -417,7 +417,7 @@ def test_grid_stays_inside_the_domain():
     """ARC_MAX * (g - 1) / (g - 1) rounds above ARC_MAX at g = 982, 1963,
     1996, 3925, 3958 and 3991; the grid must end on ARC_MAX exactly."""
     for g in range(2, 5001):
-        points = list(fairness._grid(g))
+        points = list(fairness._grid(g, 0, g))
         assert len(points) == g and points[0] == 0.0 and points[-1] == ARC_MAX
         assert max(points) == ARC_MAX, g
 
@@ -426,7 +426,7 @@ def test_grid_pieces_join_up_to_the_grid():
     for g in (2, 3, 982, 1000):
         for step in (1, 7, g - 1, g):
             pieces = [list(fairness._grid(g, start, min(start + step, g))) for start in range(0, g, step)]
-            assert sum(pieces, []) == list(fairness._grid(g))
+            assert sum(pieces, []) == list(fairness._grid(g, 0, g))
 
 
 def test_scan_rows_conserve_area():

@@ -454,11 +454,51 @@ def test_asymptotic_ratio_past_3d(n, d):
     assert n * abs(ratio - 1.0) <= 10.0
 
 
+def _asymptotic_by_fractions(n: int, p: float, d: int) -> float:
+    """float() of n^(2d-1) p^(2d-1) q / ((d-1)!)^2, evaluated as a Fraction."""
+    p = Fraction(p)
+    return float((n * p) ** (2 * d - 1) * (1 - p) / math.factorial(d - 1) ** 2)
+
+
 @pytest.mark.parametrize("n", [1, 20, 10**4, 10**7, MAX_CUTS])
 def test_asymptotic_keeps_the_bits_of_the_2d_and_3d_forms(n):
+    """The form is rounded once, correctly, and refused exactly where
+    d > 1 and d^2 > n p.  The float products n**3 * p**3 * (1.0 - p) and
+    0.25 * n**5 * p**5 * (1.0 - p) miss it in the last bits at 38 of the
+    points answered here."""
     for p in [5e-324, 1e-300, 1e-62, 1e-20, 1e-6, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6, 1 - 2**-53, *P_GRID]:
-        assert variance_asymptotic(CutModel(n, p, 2)).hex() == (n**3 * p**3 * (1.0 - p)).hex()
-        assert variance_asymptotic(CutModel(n, p, 3)).hex() == (0.25 * n**5 * p**5 * (1.0 - p)).hex()
+        for d in (1, 2, 3):
+            model = CutModel(n, p, d)
+            if 0.0 < p < 1.0 and d > 1 and d * d > n * Fraction(p):
+                with pytest.raises(UnsupportedDimensionError, match=re.escape(f"d^2 <= n p, got d = {d}")):
+                    variance_asymptotic(model)
+            else:
+                assert variance_asymptotic(model) == _asymptotic_by_fractions(n, p, d), model
+
+
+def test_asymptotic_is_refused_or_within_a_factor_of_3():
+    """The form's corrections are of relative order d^2 / (n p).  On this
+    grid it is refused exactly where d > 1 and d^2 > n p, and elsewhere it
+    stays within 2.52 of the exact variance (at n = 3000, p = 1 - 1e-6,
+    d = 54).  Under d <= n p alone it would be off by 354 times at
+    (100, 0.5, 50)."""
+    for n in (1, 2, 3, 5, 8, 20, 50, 100, 300, 1000, 3000):
+        for p in (1e-6, 0.01, 0.1, 0.3, 0.5, 0.9, 0.99, 1 - 1e-6):
+            for d in range(1, 60):
+                model = CutModel(n, p, d)
+                if d > 1 and d * d > n * Fraction(p):
+                    with pytest.raises(UnsupportedDimensionError):
+                        variance_asymptotic(model)
+                    continue
+                exact = moments_exact(model).variance
+                assert exact / 3 <= variance_asymptotic(model) <= 3 * exact, model
+    assert variance_asymptotic(CutModel(8, 0.5, 2)) == 32.0  # d^2 = n p is inside
+
+
+def test_asymptotic_is_0_at_p_0_and_1_in_any_dimension():
+    for n in (1, 1000, 10**400):
+        for d in (1, 2, 10**9):
+            assert variance_asymptotic(CutModel(n, 0.0, d)) == variance_asymptotic(CutModel(n, 1.0, d)) == 0.0
 
 
 def test_asymptotic_is_the_exact_variance_at_1d():
@@ -468,21 +508,27 @@ def test_asymptotic_is_the_exact_variance_at_1d():
             assert close(variance_asymptotic(model), moments_exact(model).variance, rel=1e-14)
 
 
+_PAST_THE_FORM = "asymptotic variance needs d = 1 or d^2 <= n p, got d = {}"
+
+
 @pytest.mark.parametrize("n, p, d, want", [
-    (10**72, 0.5, 3, "d = 3 is about 10^358"),
-    (10**9, 0.5, 10**9, "d = 1000000000 is about 10^266528972"),
-    (1000, 0.5, 10**9, 0.0),
-    (2, 1e-300, 200, 0.0),
+    (10**72, 0.5, 3, OverflowError("d = 3 is about 10^358")),
+    (10**9, 0.5, 22360, OverflowError("d = 22360 is about 10^213926")),
+    (10**9, 0.5, 10**9, UnsupportedDimensionError(_PAST_THE_FORM.format(10**9))),
+    (1000, 0.5, 10**9, UnsupportedDimensionError(_PAST_THE_FORM.format(10**9))),
+    (2, 1e-300, 200, UnsupportedDimensionError(_PAST_THE_FORM.format(200))),
     (10**72, 1e-70, 3, 0.25e10),  # n^5 is past the float range, V is not
+    (2**997, 4.1e-297, 64, 2.218691575514727e300),  # the slowest accepted call found
 ])
 def test_asymptotic_decides_the_range_in_logs(n, p, d, want):
-    """Past the float range it raises, below the smallest subnormal it is
-    0.0, and no case builds n^(2d-1) or (d-1)! past the float range."""
+    """Outside its form it is refused and past the float range it raises,
+    both before n^(2d-1) or (d-1)! is built; inside both, the integers it
+    divides stay small enough to take well under 0.1 s."""
     start = time.perf_counter()
     if isinstance(want, float):
-        assert close(variance_asymptotic(CutModel(n, p, d)), want, rel=1e-12)
+        assert variance_asymptotic(CutModel(n, p, d)) == want
     else:
-        with pytest.raises(OverflowError, match=re.escape(want)):
+        with pytest.raises(type(want), match=re.escape(str(want))):
             variance_asymptotic(CutModel(n, p, d))
     assert time.perf_counter() - start < 0.1
 
