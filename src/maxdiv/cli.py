@@ -427,7 +427,7 @@ def cmd_clt(n: int, p: float, samples: int, seed: int,
     _write(_render(CLT_HEADER, 1, lambda start, stop: row, params, format, precision), out)
 
 
-def cmd_oracle(n: int, seeds: str, format: str, out: str) -> int:
+def cmd_oracle(n: int, seeds: list[int], format: str, out: str) -> int:
     """Geometric region counts for random arrangements vs the formula.
 
     Exits nonzero if any arrangement cannot be sampled or any count
@@ -435,23 +435,17 @@ def cmd_oracle(n: int, seeds: str, format: str, out: str) -> int:
     """
     from maxdiv import geometry
 
-    try:
-        seed_list = [int(token) for token in seeds.split(",") if token.strip()]
-    except ValueError:
-        raise CliError(f"--seeds must be comma-separated integers, got {seeds!r}")
-    if not seed_list:
-        raise CliError("--seeds produced an empty list")
     expected = geometry.max_regions(n, 2)
     cells = []
     all_pass = True
-    for seed in seed_list:
+    for seed in seeds:
         counted = geometry.count_regions_geometric(geometry.random_chord_set(n, seed))
         ok = counted == expected
         all_pass &= ok
         cells += (n, seed, counted, expected, "pass" if ok else "fail")
-    params = {"n": n, "seeds": seed_list}
+    params = {"n": n, "seeds": seeds}
     width = len(ORACLE_HEADER)
-    _write(_render(ORACLE_HEADER, len(seed_list),
+    _write(_render(ORACLE_HEADER, len(seeds),
                    lambda start, stop: cells[start * width:stop * width], params,
                    format, precision=None), out)
     return 0 if all_pass else 1
@@ -486,8 +480,20 @@ def _choice(*choices: str):
     return convert
 
 
+def _seeds(text: str) -> list[int]:
+    """An option converter to the integers >= 0 that text lists between
+    commas, empty items skipped; it refuses an empty list.  random.Random
+    seeds with |s|, so a negative seed would repeat an arrangement."""
+    seed = _number(int, 0)
+    seeds = [seed(token) for token in text.split(",") if token.strip()]
+    if not seeds:
+        raise ValueError(f"{text!r} lists no seed.")
+    return seeds
+
+
 # Each subcommand's options: name -> (converter, default, help).  An option
-# whose default is None is required.  A converter raises ValueError for a
+# whose default is None is required, and a default goes through the
+# converter as a given value does.  A converter raises ValueError for a
 # value it refuses; str takes any text.
 _OUTPUT = {"--format": (_choice("csv", "json"), "csv", "Output format."),
            "--out": (str, "-", "Output path, or - for standard output.")}
@@ -514,7 +520,7 @@ COMMANDS = {
         **_OUTPUT, **_PRECISION}),
     "oracle": (cmd_oracle, {
         "--n": (_number(int, 1, 10), None, "Chords per arrangement (at most 10)."),
-        "--seeds": (str, "0,1,2,3,4", "Comma-separated seeds, one arrangement each."),
+        "--seeds": (_seeds, "0,1,2,3,4", "Comma-separated seeds, one arrangement each."),
         **_OUTPUT}),
 }
 
@@ -556,7 +562,7 @@ def _parse(options: dict, args: list[str]) -> dict | None:
         if default is None and name not in given:
             raise CliError(f"Missing option '{name}'.", 2)
         try:
-            values[name[2:]] = convert(given[name]) if name in given else default
+            values[name[2:]] = convert(given.get(name, default))
         except ValueError as exc:
             raise CliError(f"Invalid value for '{name}': {exc}", 2)
     return values

@@ -147,10 +147,14 @@ def random_chord_set(n: int, seed: int) -> tuple[Chord, ...]:
     Candidates failing validation are rejected and redrawn, up to
     RETRY_BUDGET whole-set attempts.
 
-    The result is a pure function of (n, seed).
+    The result is a pure function of (n, seed), for a seed >= 0:
+    random.Random seeds with |seed|, so a negative seed is refused rather
+    than given the arrangement of its absolute value.
     """
     if n < 1:
         raise ValueError(f"need at least one chord, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         candidate = tuple(

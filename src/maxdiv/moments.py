@@ -71,18 +71,23 @@ def expected_regions(model: CutModel) -> float:
 
 
 def second_moment_2d(model: CutModel) -> float:
-    """E(R^2) for a disk (d = 2), as an exact polynomial in n and p."""
+    """E(R^2) for a disk (d = 2), as an exact polynomial in n and p:
+
+        1 + 3 n p + 9/2 n(n-1) p^2 + 2 n(n-1)(n-2) p^3 + 1/4 n(n-1)(n-2)(n-3) p^4.
+
+    With p = u / v it is one integer over 4 v^4, rounded once, correctly,
+    and inf past the float range; no term is rounded on its own, so a
+    huge n with a small p keeps the moment that fits.
+    """
     if model.d != 2:
         raise UnsupportedDimensionError(
             f"second-moment polynomial covers d = 2 only, got d = {model.d}"
         )
-    n, p = model.n, model.p
-    return (
-        1.0
-        + 3.0 * n * p
-        + 4.5 * (n * (n - 1)) * p**2
-        + 2.0 * (n * (n - 1) * (n - 2)) * p**3
-        + 0.25 * (n * (n - 1) * (n - 2) * (n - 3)) * p**4
+    n = model.n
+    u, v = model.p.as_integer_ratio()
+    return _over(
+        4 * v**4 + n * u * (12 * v**3 + (n - 1) * u * (18 * v**2 + (n - 2) * u * (8 * v + (n - 3) * u))),
+        4 * v**4,
     )
 
 
@@ -98,23 +103,25 @@ def variance_closed_form(model: CutModel) -> float:
         d = 2:  n p q [1 + (n-1) p (5 + (2n-3) p) / 2]
         d = 3:  n p q [1 + (n-1) p (5/2 + p ((19n-35)/6
                     + p ((n-2)(9n-20)/6 + p (n-2)(3n^2-15n+20)/12)))]
+
+    At d = 2 it is evaluated in floats.  At d = 3, with p = u / v, it is
+    one integer over 12 v^6, rounded once, correctly, and inf past the
+    float range.
     """
     n, p = model.n, model.p
-    q = 1.0 - p
     if model.d == 2:
         inner = (n - 1) * p * (5 + (2 * n - 3) * p) / 2
-    elif model.d == 3:
-        inner = (n - 1) * p * (
-            2.5
-            + p * ((19 * n - 35) / 6
-                   + p * ((n - 2) * (9 * n - 20) / 6
-                          + p * ((n - 2) * (3 * n * n - 15 * n + 20) / 12)))
-        )
-    else:
+        return n * p * (1.0 - p) * (1 + inner)
+    if model.d != 3:
         raise UnsupportedDimensionError(
             f"variance polynomial covers d in {{2, 3}}, got d = {model.d}"
         )
-    return n * p * q * (1 + inner)
+    u, v = p.as_integer_ratio()
+    bracket = 12 * v**4 + (n - 1) * u * (
+        30 * v**3 + u * (2 * (19 * n - 35) * v**2
+                         + u * (2 * (n - 2) * (9 * n - 20) * v + u * (n - 2) * (3 * n * n - 15 * n + 20)))
+    )
+    return _over(n * u * (v - u) * bracket, 12 * v**6)
 
 
 def variance_asymptotic(model: CutModel) -> float:

@@ -78,25 +78,6 @@ def test_fairness_json_schema():
     assert payload["warnings"] == []
 
 
-FAIRNESS_FINE_CSV_SHA256 = "aac7d800d4e0ce6d505aef09845fcf0a4a381c275e51074a85103740c191927a"
-FAIRNESS_FINE_SUMMARY_SHA256 = "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"
-
-
-def test_fairness_fine_output_digest(tmp_path):
-    """`fairness --grid 100000` is byte-identical to the dataclass-based
-    table and per-cell CSV renderer it replaced; digests recorded there.
-    The same bytes go to an --out file."""
-    argv = [sys.executable, "-m", "maxdiv", "fairness", "--grid", "100000", "--tol", "1e-10"]
-    proc = subprocess.run(argv, capture_output=True, check=True)
-    assert hashlib.sha256(proc.stdout).hexdigest() == FAIRNESS_FINE_CSV_SHA256
-    assert hashlib.sha256(proc.stderr).hexdigest() == FAIRNESS_FINE_SUMMARY_SHA256
-    target = tmp_path / "table.csv"
-    out = subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
-    assert out.stdout == b""
-    assert out.stderr == proc.stderr
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == FAIRNESS_FINE_CSV_SHA256
-
-
 def test_fairness_json_output_digest():
     """`fairness --grid 20000 --format json`, digest recorded from the
     renderer that built str chunks and wrote them through click.echo."""
@@ -111,6 +92,7 @@ def test_fairness_json_output_digest():
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+CONSOLE_SCRIPT = os.path.join(os.path.dirname(sys.executable), "maxdiv")
 
 
 def _readme_commands() -> dict:
@@ -123,6 +105,9 @@ def _readme_commands() -> dict:
     raise AssertionError("perfbench/run.py defines no README_COMMANDS")
 
 
+README_COMMANDS = _readme_commands()
+
+
 def _assert_reference(name, proc):
     with open(os.path.join(PERFBENCH, "refs", f"{name}.out"), "rb") as out:
         assert proc.stdout == out.read()
@@ -131,62 +116,77 @@ def _assert_reference(name, proc):
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("stdout", ["pipe", "file"])
-@pytest.mark.parametrize("name, argv", sorted(_readme_commands().items()))
-def test_readme_commands_match_the_recorded_references(name, argv, stdout, tmp_path):
-    """The README commands print exactly perfbench/refs/NAME.out and .err,
-    to a pipe and, block-buffered, to a regular file."""
-    argv = [sys.executable, "-m", "maxdiv", *argv]
-    if stdout == "pipe":
-        proc = subprocess.run(argv, capture_output=True, timeout=60)
-    else:
-        with open(tmp_path / "stdout", "w+b") as target:
-            proc = subprocess.run(argv, stdout=target, stderr=subprocess.PIPE, env=_environ(),
-                                  timeout=60)
-            target.seek(0)
-            proc.stdout = target.read()
-    _assert_reference(name, proc)
-
-
-# A standalone run ends in os._exit, which flushes nothing: these tests run
-# the CLI with PYTHONUNBUFFERED removed, so standard output is a
-# block-buffered pipe and a byte left in its buffer would be lost.
-
+# A standalone run ends in os._exit, which flushes nothing, so each test of
+# pinned output names its launcher, standard output and buffering, set here.
 def _environ(unbuffered: bool = False) -> dict:
     """This process's environment with PYTHONUNBUFFERED=1, or without it."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
-def _block_buffered(*argv: str) -> subprocess.CompletedProcess:
-    """`python -m maxdiv ARGV` without PYTHONUNBUFFERED, output to pipes."""
-    return subprocess.run([sys.executable, "-m", "maxdiv", *argv], capture_output=True,
-                          env=_environ(), timeout=60)
+def _run(launcher: str, stdout: str, buffering: str, argv: list, tmp_path=None):
+    """`maxdiv ARGV` through "python-m" or the installed "console-script"
+    (skipped if absent), standard output to a "pipe" or a "file" in
+    tmp_path, "unbuffered" or "block-buffered"; standard error to a pipe."""
+    if launcher == "console-script" and not os.path.exists(CONSOLE_SCRIPT):
+        pytest.skip(f"no maxdiv console script at {CONSOLE_SCRIPT}")
+    command = [CONSOLE_SCRIPT] if launcher == "console-script" else [sys.executable, "-m", "maxdiv"]
+    env = _environ(buffering == "unbuffered")
+    if stdout == "pipe":
+        return subprocess.run([*command, *argv], capture_output=True, env=env, timeout=60)
+    with open(tmp_path / "stdout", "wb") as target:
+        proc = subprocess.run([*command, *argv], stdout=target, stderr=subprocess.PIPE, env=env, timeout=60)
+    proc.stdout = (tmp_path / "stdout").read_bytes()
+    return proc
 
 
-@pytest.mark.parametrize("name, argv", sorted(_readme_commands().items()))
-def test_readme_commands_lose_no_byte_in_a_block_buffered_pipe(name, argv):
-    _assert_reference(name, _block_buffered(*argv))
-
-
-@pytest.mark.parametrize("fmt, stdout_sha256, stderr_sha256", [
-    ("csv", FAIRNESS_FINE_CSV_SHA256, FAIRNESS_FINE_SUMMARY_SHA256),
-    ("json", "0add8e3c10e7e9758ef3dea1468fdde9f1056ed2920e0ac1413bd68285a7145e",
-     hashlib.sha256(b"").hexdigest()),
+@pytest.mark.parametrize("launcher, stdout, buffering", [
+    ("python-m", "pipe", "unbuffered"),
+    ("python-m", "pipe", "block-buffered"),
+    ("python-m", "file", "block-buffered"),
+    ("console-script", "pipe", "block-buffered"),
+    ("console-script", "file", "block-buffered"),
 ])
-def test_fairness_fine_loses_no_byte_in_a_block_buffered_pipe(fmt, stdout_sha256, stderr_sha256):
-    """`fairness --grid 100000` in CSV and JSON; the JSON digest was
-    recorded from the run that ended in sys.exit."""
-    proc = _block_buffered("fairness", "--grid", "100000", "--tol", "1e-10", "--format", fmt)
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_commands_match_the_recorded_references(name, launcher, stdout, buffering, tmp_path):
+    """The README commands print exactly perfbench/refs/NAME.out and .err."""
+    _assert_reference(name, _run(launcher, stdout, buffering, README_COMMANDS[name], tmp_path))
+
+
+# sha256 of standard output (or of the --out file) and of standard error
+FAIRNESS_FINE_SHA256 = {
+    "csv": ("aac7d800d4e0ce6d505aef09845fcf0a4a381c275e51074a85103740c191927a",
+            "dc3f054e113d3de2f4cad2f759ccaf166ce8404858c77455f893b4c61542a556"),
+    "json": ("0add8e3c10e7e9758ef3dea1468fdde9f1056ed2920e0ac1413bd68285a7145e",
+             hashlib.sha256(b"").hexdigest()),
+}
+
+
+@pytest.mark.parametrize("fmt, launcher, stdout, buffering", [
+    ("csv", "python-m", "pipe", "unbuffered"),
+    ("csv", "python-m", "pipe", "block-buffered"),
+    ("csv", "python-m", "out", "unbuffered"),
+    ("json", "python-m", "pipe", "block-buffered"),
+])
+def test_fairness_fine_output_digest(fmt, launcher, stdout, buffering, tmp_path):
+    """Digests recorded from the dataclass-based table and per-cell CSV
+    renderer, and for JSON from the run that ended in sys.exit.  With
+    stdout "out" the table goes to --out and standard output is empty."""
+    argv = ["fairness", "--grid", "100000", "--tol", "1e-10", "--format", fmt]
+    target = tmp_path / "table"
+    proc = _run(launcher, "pipe", buffering, [*argv, "--out", str(target)] if stdout == "out" else argv)
     assert proc.returncode == 0
-    assert hashlib.sha256(proc.stdout).hexdigest() == stdout_sha256
-    assert hashlib.sha256(proc.stderr).hexdigest() == stderr_sha256
+    if stdout == "out":
+        assert proc.stdout == b""
+        proc.stdout = target.read_bytes()
+    assert (hashlib.sha256(proc.stdout).hexdigest(),
+            hashlib.sha256(proc.stderr).hexdigest()) == FAIRNESS_FINE_SHA256[fmt]
 
 
 def test_help_and_a_usage_error_lose_no_byte_in_a_block_buffered_pipe():
-    proc = _block_buffered("--help")
+    proc = _run("python-m", "pipe", "block-buffered", ["--help"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, invoke("--help").stdout_bytes, b"")
-    proc = _block_buffered("fairness", "--grid", "1")
+    proc = _run("python-m", "pipe", "block-buffered", ["fairness", "--grid", "1"])
     usage = invoke("fairness", "--grid", "1")
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", usage.stderr)
 
@@ -198,7 +198,7 @@ def test_standalone_main_runs_no_exit_handler():
         "import atexit, sys\n"
         "from maxdiv.cli import main\n"
         "atexit.register(lambda: sys.stderr.write('exit handler ran\\n'))\n"
-        f"main({_readme_commands()['moments']!r})\n"
+        f"main({README_COMMANDS['moments']!r})\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_environ(),
                           timeout=60)
@@ -706,8 +706,13 @@ def test_moments_all_cuts_succeed():
     assert fields["variance"] == "0.0000000000"
 
 
-def test_moments_exact_and_closed_agree_on_stdout():
-    args = ("--n", "20", "--p", "0.3", "--dim", "3")
+@pytest.mark.parametrize("args", [
+    ("--n", "20", "--p", "0.3", "--dim", "3"),
+    # the closed route overflowed at these: a huge n became a float before p scaled it down
+    ("--n", str(10**80), "--p", "1e-80", "--dim", "2"),
+    ("--n", str(10**110), "--p", "1e-110", "--dim", "3"),
+], ids=["20-0.3-3", "1e80-1e-80-2", "1e110-1e-110-3"])
+def test_moments_exact_and_closed_agree_on_stdout(args):
     exact = invoke("moments", *args, "--method", "exact").stdout.splitlines()[1].split(",")
     closed = invoke("moments", *args, "--method", "closed").stdout.splitlines()[1].split(",")
     # identical printed numbers everywhere except the method tag
@@ -922,7 +927,7 @@ def test_moments_rejects_nan_p():
 
 
 @pytest.mark.parametrize("method, dim, n", [
-    ("closed", "2", 10**93),
+    ("closed", "2", 10**200),
     ("asymptotic", "3", 10**72),
     ("exact", "1000000", 2000),  # E(R) = 1.5^2000: d overflows it, not n
 ])
@@ -965,6 +970,7 @@ def test_moments_huge_dim_ends_within_a_second(argv, outcome):
     ("exact", ["--n", "600", "--p", "0.999999", "--dim", "600"]),
     ("exact", ["--n", "600", "--p", "1", "--dim", "600"]),
     ("closed", ["--n", str(10**52), "--p", "0.9999999", "--dim", "3"]),
+    ("closed", ["--n", str(10**93), "--p", "0.5", "--dim", "2"]),  # E(R^2) is about 1.6e370
 ])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_moments_refuses_non_finite_moments(method, argv, fmt):
@@ -1152,8 +1158,8 @@ def test_oracle_takes_no_precision():
 
 @pytest.mark.parametrize("argv, status, rows", [
     # an option takes the next token as its value, even one that starts with "-"
-    (["oracle", "--n", "2", "--seeds", "-5,3"], 0, ["2,-5,4,4,pass", "2,3,4,4,pass"]),
-    (["oracle", "--n", "2", "--seeds=-5,3"], 0, ["2,-5,4,4,pass", "2,3,4,4,pass"]),
+    (["moments", "--n", "2", "--p", "-0.0", "--precision", "1"], 0, ["2,-0.0,2,exact,1.0,0.0,1.0,1.0,0.0"]),
+    (["moments", "--n", "2", "--p=-0.0", "--precision", "1"], 0, ["2,-0.0,2,exact,1.0,0.0,1.0,1.0,0.0"]),
     # the last of repeated values wins, and a last "--" ends the options
     (["oracle", "--n", "2", "--n", "3", "--seeds", "0"], 0, ["3,0,7,7,pass"]),
     (["oracle", "--n", "2", "--seeds", "0", "--"], 0, ["2,0,4,4,pass"]),
@@ -1254,15 +1260,15 @@ def test_a_library_refusal_from_any_command_is_one_error_line(monkeypatch, targe
     assert (res.exit_code, res.stdout, res.stderr) == (1, "", "Error: this input is refused\n")
 
 
-def test_oracle_rejects_bad_seeds():
-    res = invoke("oracle", "--n", "3", "--seeds", "1,zebra")
-    assert res.exit_code != 0
-    assert "comma-separated" in res.stderr
-
-
-def test_oracle_refuses_an_empty_seed_list():
-    res = invoke("oracle", "--n", "3", "--seeds", ",")
-    assert (res.exit_code, res.stdout, res.stderr) == (1, "", "Error: --seeds produced an empty list\n")
+@pytest.mark.parametrize("seeds, reason", [
+    ("1,zebra", "'zebra' is not a valid integer."), (",", "',' lists no seed."),
+    # random.Random seeds with |s|, so -7 would repeat the arrangement of 7
+    ("-7,7", "-7 is not in the range x>=0."),
+])
+def test_oracle_rejects_bad_seeds(seeds, reason):
+    res = invoke("oracle", "--n", "3", "--seeds", seeds)
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", f"Usage: maxdiv oracle [OPTIONS]\nError: Invalid value for '--seeds': {reason}\n")
 
 
 def test_oracle_fails_a_count_that_disagrees_with_the_formula(monkeypatch):

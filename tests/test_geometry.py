@@ -204,6 +204,13 @@ def test_random_chord_set_rejects_bad_n():
         random_chord_set(0, 1)
 
 
+def test_random_chord_set_refuses_a_negative_seed():
+    """random.Random seeds with |seed|, so -1 would give the arrangement of 1."""
+    with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+        random_chord_set(3, -1)
+    assert count_regions_geometric(random_chord_set(3, 0)) == 7
+
+
 def test_random_chord_set_refuses_once_its_retry_budget_is_spent():
     # at n = 16, no candidate in the budget of any of these seeds keeps
     # every crossing inside the disk and apart

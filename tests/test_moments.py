@@ -166,7 +166,9 @@ def test_degenerate_probabilities():
 
 
 def test_closed_forms_match_rational_enumeration():
-    """Every polynomial route must reproduce exact rational arithmetic."""
+    """Every polynomial route must reproduce exact rational arithmetic;
+    the d = 3 variance and the d = 2 second moment are that value rounded
+    once, at the float p, from the smallest subnormal to 1."""
     for n in range(1, 31):
         for k in range(11):
             p = k / 10
@@ -176,8 +178,11 @@ def test_closed_forms_match_rational_enumeration():
                 assert close(expected_regions(model), float(mean_r))
                 assert close(variance_closed_form(model), float(var_r))
                 assert close(moments_exact(model).variance, float(var_r))
-                if d == 2:
-                    assert close(second_moment_2d(model), float(m2_r))
+        for p in (0.0, 5e-324, 1e-300, 0.1, 0.3, 0.5, 0.9, 1 - 2**-53, 1.0):
+            _, m2_r, _ = exact_moments_rational(n, Fraction(p), 2)
+            assert second_moment_2d(CutModel(n, p, 2)) == float(m2_r), (n, p)
+            _, _, var_r = exact_moments_rational(n, Fraction(p), 3)
+            assert variance_closed_form(CutModel(n, p, 3)) == float(var_r), (n, p)
 
 
 def test_enumeration_matches_closed_form_large_n():
@@ -220,11 +225,14 @@ def test_enumeration_matches_rational_route(n, d, p):
     bundle = moments_exact(CutModel(n, p, d))
     exact = exact_moments_rational(n, Fraction(p), d)
     assert (bundle.mean, bundle.second_moment, bundle.variance) == tuple(map(float, exact))
-    if d in (2, 3):
+    if d == 2:
         # every term of the factored polynomial is nonnegative, so a
         # few rounding units bound its error even at p near 0 or 1
         closed = variance_closed_form(CutModel(n, p, d))
         assert abs(Fraction(closed) - exact[2]) <= Fraction(1, 10**14) * exact[2]
+        assert second_moment_2d(CutModel(n, p, d)) == float(exact[1])
+    if d == 3:
+        assert variance_closed_form(CutModel(n, p, d)) == float(exact[2])
 
 
 @pytest.mark.parametrize("n", [100, 300])
